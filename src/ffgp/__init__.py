@@ -3,8 +3,9 @@
 Six kernel families over structured random features: frbf / fard (fixed
 RBF and ARD spectra), fsard / fsgbard (learned Fastfood diagonals), gm
 (Gaussian spectral mixtures) and pwl (piecewise-linear radial spectra).
-All of them train by marginal-likelihood gradient descent at O(m log d)
-per feature evaluation and O(Qm) model storage.
+All of them train by marginal-likelihood gradient descent.  Each group's
+Fastfood stack is a seed plus O(m) diagonals; a saved model also holds the
+D(D+1)/2-float Cholesky factor of its D = 2Qm feature rows (4Qm for gm).
 """
 
 from .errors import (
@@ -18,7 +19,7 @@ from .errors import (
     ParseError,
 )
 from .hadamard import PadGeometry, fwht_inplace, next_pow2, pad_geometry
-from .fastfood import FastfoodStack, apply_stack, build_stack, project, sample_chi_radii
+from .fastfood import FastfoodStack, build_stack, project, sample_chi_radii
 from .spectra import (
     GmComponent,
     HatSpectrum,
@@ -79,7 +80,6 @@ __all__ = [
     "Standardization",
     "TrainConfig",
     "TrainedModel",
-    "apply_stack",
     "build_stack",
     "build_stacks",
     "compute_features",

@@ -9,8 +9,10 @@ Pi a uniform random permutation, G a diagonal of standard normal draws and
 S a diagonal of sampled radii divided by ||G||_F.  Rows of H G Pi H B all have
 norm sqrt(d_pad) * ||G||_F, so after the two rescalings the i-th projection
 direction has Euclidean norm equal to the i-th sampled radius: the stack
-realizes an isotropic spectral sample with exactly controlled row lengths in
-O(d_pad log d_pad) time per block.
+realizes an isotropic spectral sample with exactly controlled row lengths.
+Fastfood is the parameterization (O(m) stored numbers, S/G/B learnable).  To
+execute a stack, the butterfly builds its dense (d_in, m) operator in
+O(d_in m log d_pad) and one matrix product applies it to n rows in O(n d_in m).
 """
 
 from __future__ import annotations
@@ -121,11 +123,27 @@ def build_stack(
     )
 
 
-def _pad(x: np.ndarray, geometry: PadGeometry) -> np.ndarray:
-    """Zero-pad rows of (n, d_in) to (n, d_pad)."""
-    n = x.shape[0]
-    out = np.zeros((n, geometry.d_pad))
-    out[:, : geometry.d_in] = x
+def _block_matrix(stack: FastfoodStack, s_diag, g_diag, b_diag) -> np.ndarray:
+    """The stack as a dense (d_in, m_total) operator: the butterfly run on the
+    rows of the (d_in, d_pad) identity, since padded input columns are zero."""
+    geo = stack.geometry
+    d = geo.d_pad
+    s_all = stack.s_radii if s_diag is None else np.asarray(s_diag, dtype=float)
+    g_all = stack.g_diag if g_diag is None else np.asarray(g_diag, dtype=float)
+    b_all = stack.b_diag if b_diag is None else np.asarray(b_diag, dtype=float)
+
+    eye = np.eye(geo.d_in, d)
+    out = np.empty((geo.d_in, geo.m_total))
+    scale = 1.0 / np.sqrt(d)
+    for blk in range(geo.blocks):
+        lo = blk * d
+        v = eye * b_all[lo : lo + d]
+        fwht_inplace(v)
+        v = np.ascontiguousarray(v[:, stack.perms[blk]])
+        v *= g_all[lo : lo + d]
+        fwht_inplace(v)
+        v *= s_all[lo : lo + d] * scale
+        out[:, lo : lo + d] = v
     return out
 
 
@@ -147,24 +165,7 @@ def project(
     geo = stack.geometry
     if x.shape[1] != geo.d_in:
         raise DimensionError(f"input has {x.shape[1]} columns, stack expects {geo.d_in}")
-    d = geo.d_pad
-    s_all = stack.s_radii if s_diag is None else np.asarray(s_diag, dtype=float)
-    g_all = stack.g_diag if g_diag is None else np.asarray(g_diag, dtype=float)
-    b_all = stack.b_diag if b_diag is None else np.asarray(b_diag, dtype=float)
-
-    xp = _pad(x, geo)
-    out = np.empty((x.shape[0], geo.m_total))
-    scale = 1.0 / np.sqrt(d)
-    for blk in range(geo.blocks):
-        lo = blk * d
-        v = xp * b_all[lo : lo + d]
-        fwht_inplace(v)
-        v = np.ascontiguousarray(v[:, stack.perms[blk]])
-        v *= g_all[lo : lo + d]
-        fwht_inplace(v)
-        v *= s_all[lo : lo + d] * scale
-        out[:, lo : lo + d] = v
-    return out
+    return x @ _block_matrix(stack, s_diag, g_diag, b_diag)
 
 
 def project_transpose(
@@ -173,48 +174,14 @@ def project_transpose(
     s_diag: np.ndarray | None = None,
     g_diag: np.ndarray | None = None,
     b_diag: np.ndarray | None = None,
-    skip_b: bool = False,
 ) -> np.ndarray:
-    """Adjoint of `project` summed over blocks: (n, m_total) -> (n, d_pad).
+    """Adjoint of `project`: (n, m_total) -> (n, d_in).
 
-    Computes t @ A where A is the stacked projection matrix (m_total, d_pad);
-    equivalently applies each block transpose B H Pi^T G H S / sqrt(d_pad)
-    and accumulates.  skip_b leaves out the final sign diagonal (needed for
-    derivatives with respect to B itself).
+    <project(stack, x), t> == <x, project_transpose(stack, t)> for the same
+    diagonal overrides.
     """
     t = np.asarray(t, dtype=float)
     geo = stack.geometry
-    d = geo.d_pad
     if t.ndim != 2 or t.shape[1] != geo.m_total:
         raise DimensionError(f"expected (n, {geo.m_total}) array, got {t.shape}")
-    s_all = stack.s_radii if s_diag is None else np.asarray(s_diag, dtype=float)
-    g_all = stack.g_diag if g_diag is None else np.asarray(g_diag, dtype=float)
-    b_all = stack.b_diag if b_diag is None else np.asarray(b_diag, dtype=float)
-
-    acc = np.zeros((t.shape[0], d))
-    scale = 1.0 / np.sqrt(d)
-    for blk in range(geo.blocks):
-        lo = blk * d
-        v = t[:, lo : lo + d] * (s_all[lo : lo + d] * scale)
-        v = np.ascontiguousarray(v)
-        fwht_inplace(v)
-        v *= g_all[lo : lo + d]
-        # (Pi w)_i = w[perm[i]]  =>  (Pi^T u)[perm[i]] = u_i
-        w = np.empty_like(v)
-        w[:, stack.perms[blk]] = v
-        fwht_inplace(w)
-        if not skip_b:
-            w *= b_all[lo : lo + d]
-        acc += w
-    return acc
-
-
-def apply_stack(stack: FastfoodStack, x: np.ndarray) -> np.ndarray:
-    """Projections xi for a single input vector (d_in,) -> (m_total,).
-
-    Matrix input (n, d_in) is expanded row-wise to (n, m_total).
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return project(stack, x[None, :])[0]
-    return project(stack, x)
+    return t @ _block_matrix(stack, s_diag, g_diag, b_diag).T

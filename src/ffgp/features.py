@@ -504,7 +504,7 @@ def _dxi_for_param(spec, stacks, q, X, kind, j, xi=None):
 def feature_jacobian(spec: KernelSpec, stacks, X: np.ndarray, param_index: int) -> np.ndarray:
     """Exact d(design matrix)/d(packed parameter), same shape as the data.
 
-    apply_stack is linear, so xi-derivatives are themselves stack projections
+    project is linear, so xi-derivatives are themselves stack projections
     of scaled inputs; trig rows follow by the chain rule.  Weight parameters
     (log a, log v_q) never move the raw features, so their slices are zero.
     """
@@ -552,10 +552,11 @@ def feature_param_gradients(
     Returns g with g[k] = <M, dPhi/dtheta_k> for every packed feature
     parameter, zeros at weight-only coordinates (the likelihood handles those
     through the weight diagonal).  Uses the transposed stack to batch whole
-    parameter blocks instead of calling feature_jacobian per coordinate.
+    parameter blocks instead of calling feature_jacobian per coordinate; the
+    fsgbard G and B blocks contract through the (d_in, m) array xs^T T, so
+    their transforms never run over the n data rows.
     """
     X = np.asarray(X, dtype=float)
-    n = X.shape[0]
     d_in, m, Q = spec.d_in, spec.m_realized, spec.Q
     rpg = spec.rows_per_group
     grad = np.zeros(spec.n_params)
@@ -588,9 +589,7 @@ def feature_param_gradients(
             grad[gbase + 1 : gbase + 1 + d_in] = X.T @ (t_plus - t_minus).sum(axis=1)
             # log sigma_diag: dxs_j = +xs_j through the stack transpose
             R = project_transpose(stack, t_sum, s_diag=s_eff, g_diag=g_eff, b_diag=b_eff)
-            grad[gbase + 1 + d_in : gbase + 1 + 2 * d_in] = np.einsum(
-                "nj,nj->j", R[:, :d_in], xs
-            )
+            grad[gbase + 1 + d_in : gbase + 1 + 2 * d_in] = np.einsum("nj,nj->j", R, xs)
             continue
 
         cos_rows = phi.data[base : base + m]
@@ -602,7 +601,7 @@ def feature_param_gradients(
 
         if fam == "pwl":
             gbase = spec._group_base(q)
-            grad[gbase + 1 : gbase + 1 + d_in] = -np.einsum("nj,nj->j", R[:, :d_in], xs)
+            grad[gbase + 1 : gbase + 1 + d_in] = -np.einsum("nj,nj->j", R, xs)
             xi = project(stack, xs, s_diag=s_eff, g_diag=g_eff, b_diag=b_eff)
             hat = spec.hat(q)
             r = hat_radii(hat.mu, hat.sigma, stack.uniform_draws)
@@ -619,29 +618,27 @@ def feature_param_gradients(
             gbase = spec._group_base(q)
             grad[gbase : gbase + m] = np.einsum("nm,nm->m", T, xi)
         if fam == "fsgbard":
+            C = xs.T @ T  # every G and B derivative is linear in C
             d = geo.d_pad
             scale = 1.0 / np.sqrt(d)
-            xp = _pad_cols(xs, geo)
             gbase = spec._group_base(q)
             for blk in range(geo.blocks):
                 lo = blk * d
-                tb = np.ascontiguousarray(T[:, lo : lo + d] * (s_eff[lo : lo + d] * scale))
-                fwht_inplace(tb)  # tb = H (s*T) / sqrt(d)
-                v = xp * b_eff[lo : lo + d]
+                ct = C[:, lo : lo + d] * (s_eff[lo : lo + d] * scale)
+                fwht_inplace(ct)  # ct = H (s*C) / sqrt(d)
+                v = np.eye(d_in, d) * b_eff[lo : lo + d]
                 fwht_inplace(v)
                 w3 = v[:, stack.perms[blk]]  # post-permutation intermediate
-                grad[gbase + m + lo : gbase + m + lo + d] = np.einsum("nj,nj->j", w3, tb)
-                v2 = tb * g_eff[lo : lo + d]
-                w2 = np.empty_like(v2)
-                w2[:, stack.perms[blk]] = v2
-                fwht_inplace(w2)  # w2 = L^T T for this block (no b)
-                grad[gbase + 2 * m + lo : gbase + 2 * m + lo + d] = np.einsum(
-                    "nj,nj->j", xp, w2
-                )
+                grad[gbase + m + lo : gbase + m + lo + d] = np.einsum("jk,jk->k", w3, ct)
+                w2 = np.empty_like(ct)
+                w2[:, stack.perms[blk]] = ct * g_eff[lo : lo + d]
+                fwht_inplace(w2)  # w2 = L^T C for this block (no b)
+                # padded inputs are zero, so only the first d_in B entries move
+                grad[gbase + 2 * m + lo : gbase + 2 * m + lo + d_in] = w2.diagonal()
 
     if fam in ("frbf", "fard", "fsard", "fsgbard") and shared_R is not None:
         xs = _scaled_inputs(spec, 0, X)
-        per_dim = -np.einsum("nj,nj->j", shared_R[:, :d_in], xs)
+        per_dim = -np.einsum("nj,nj->j", shared_R, xs)
         if fam == "frbf":
             grad[1] = per_dim.sum()
         else:

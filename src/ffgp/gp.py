@@ -233,7 +233,3 @@ def nlml_value_and_grad(spec: KernelSpec, stacks, X, y, hyper, mode: str = "auto
             grad[1 + idx] += float(np.sum(r[group * rpg : (group + 1) * rpg]))
     return float(core["f"]), grad
 
-
-def nlml_gradient(spec: KernelSpec, stacks, X, y, hyper, mode: str = "auto") -> np.ndarray:
-    """Gradient only; see nlml_value_and_grad."""
-    return nlml_value_and_grad(spec, stacks, X, y, hyper, mode=mode)[1]

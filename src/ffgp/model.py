@@ -13,12 +13,13 @@ import numpy as np
 from dataclasses import dataclass
 
 from .data import Standardization
-from .errors import DimensionError, ParseError
+from .errors import DimensionError, FfgpError, ParseError
 from .features import KernelSpec, build_stacks, compute_features, feature_weight_matrix
 from .gp import PosteriorState, predict
 
 MAGIC = "ffgp-model"
 FORMAT_VERSION = 1
+_POSITIVE = ("noise_var", "x_std", "y_std")  # scales; everything stored must be finite
 
 
 @dataclass(frozen=True)
@@ -126,26 +127,41 @@ def load_model(path) -> TrainedModel:
     magic = raw[:first].decode("ascii", errors="replace").split()
     if len(magic) != 2 or magic[0] != MAGIC:
         raise ParseError(f"{path}: not a model file (bad magic)")
-    if int(magic[1]) != FORMAT_VERSION:
+    if magic[1] != str(FORMAT_VERSION):
         raise ParseError(f"{path}: unsupported format version {magic[1]}")
     try:
         meta = json.loads(raw[first + 1 : second].decode("ascii"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: bad metadata header ({exc})") from exc
+    ints = ("d_in", "Q", "m_per_group", "seed")
+    n_train = meta.get("n_train") if isinstance(meta, dict) else None
+    if not (
+        isinstance(n_train, str) and n_train.isascii() and n_train.isdigit()
+        and isinstance(meta.get("family"), str)
+        and all(type(meta.get(k)) is int and meta[k] >= 0 for k in ints)
+    ):
+        raise ParseError(f"{path}: bad metadata header (missing or mistyped keys)")
+    try:
+        template = KernelSpec.template(meta["family"], meta["d_in"], meta["Q"], meta["m_per_group"])
+    except FfgpError as exc:
+        raise ParseError(f"{path}: bad metadata header ({exc})") from exc
 
-    spec_shape = (meta["family"], meta["d_in"], meta["Q"], meta["m_per_group"])
-    template = KernelSpec.template(*spec_shape)
     order = _array_order(template)
     total = sum(length for _, length in order)
-    flat = np.frombuffer(raw[second + 1 :], dtype="<f8")
+    payload = raw[second + 1 :]
+    if len(payload) % 8:
+        raise ParseError(f"{path}: payload of {len(payload)} bytes is not whole floats")
+    flat = np.frombuffer(payload, dtype="<f8")
     if flat.shape[0] != total:
         raise ParseError(
             f"{path}: payload has {flat.shape[0]} floats, header implies {total}"
         )
     parts, pos = {}, 0
     for name, length in order:
-        parts[name] = flat[pos : pos + length].astype(float)
+        part = parts[name] = flat[pos : pos + length].astype(float)
         pos += length
+        if not np.all(np.isfinite(part)) or (name in _POSITIVE and np.any(part <= 0.0)):
+            raise ParseError(f"{path}: bad {name} in payload (non-finite or out of range)")
 
     spec = template.with_params(parts["params"])
     D = spec.n_rows

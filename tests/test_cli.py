@@ -1,5 +1,8 @@
 """Command-line behavior: report formats, determinism, seed plumbing, exits."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -87,6 +90,46 @@ def test_predict_dimension_mismatch_names_both(tmp_path, capsys, cosine_csv):
     code, _, stderr = run(capsys, ["predict", "--model", str(model), "--data", str(wide)])
     assert code == 1
     assert "d_in=1" in stderr and "2" in stderr
+
+
+def _set_tail_float(raw, floats_from_end, value):
+    """Overwrite one payload float, counted from the end of the file."""
+    at = len(raw) - 8 * floats_from_end
+    return raw[:at] + struct.pack("<d", value) + raw[at + 8 :]
+
+
+def _edit_header(raw, edit):
+    magic, header, payload = raw.split(b"\n", 2)
+    meta = json.loads(header)
+    edit(meta)
+    return b"\n".join([magic, json.dumps(meta).encode("ascii"), payload])
+
+
+# d_in = 1, so the payload ends noise_var, nlml, x_mean, x_std, y_mean, y_std
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda raw: raw.replace(b"ffgp-model 1\n", b"ffgp-model one\n", 1),
+        lambda raw: raw + b"\0\0\0",
+        lambda raw: _edit_header(raw, lambda meta: meta.pop("seed")),
+        lambda raw: _edit_header(raw, lambda meta: meta.update(d_in="1")),
+        lambda raw: _edit_header(raw, lambda meta: meta.update(n_train=30)),
+        lambda raw: _set_tail_float(raw, 6, float("inf")),
+        lambda raw: _set_tail_float(raw, 3, float("nan")),
+        lambda raw: _set_tail_float(raw, 1, float("nan")),
+    ],
+    ids=["version", "partial-float", "missing-key", "str-d_in", "int-n_train",
+         "inf-noise_var", "nan-x_std", "nan-y_std"],
+)
+def test_predict_rejects_corrupt_model(tmp_path, capsys, cosine_csv, feature_csv, corrupt):
+    model = tmp_path / "m.bin"
+    run(capsys, ["train", "--data", str(cosine_csv), "--kernel", "frbf", "--m", "8",
+                 "--seed", "0", "--out", str(model)] + FAST)
+    model.write_bytes(corrupt(model.read_bytes()))
+    code, stdout, stderr = run(capsys, ["predict", "--model", str(model), "--data", str(feature_csv)])
+    assert code == 1 and stdout == ""
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_eval_report_shape_and_stats(tmp_path, capsys, cosine_csv):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from ffgp.errors import DimensionError, DomainError
-from ffgp.fastfood import apply_stack, build_stack, project, sample_chi_radii
+from ffgp.fastfood import build_stack, project, project_transpose, sample_chi_radii
 from ffgp.hadamard import pad_geometry
 from ffgp.oracle import dense_hadamard_matrix
 
@@ -41,17 +43,27 @@ def test_project_matches_dense_operator():
     assert np.allclose(project(stack, X), Xp @ V.T, atol=1e-10)
 
 
-def test_apply_stack_vector_and_matrix():
-    geo = pad_geometry(4, 8)
-    stack = build_stack(2, geo, chi_sampler(geo.d_pad))
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal(4)
-    V = dense_operator(stack)
-    got = apply_stack(stack, x)
-    assert got.shape == (geo.m_total,)
-    assert np.allclose(got, V @ x, atol=1e-10)
-    X = rng.standard_normal((3, 4))
-    assert np.allclose(apply_stack(stack, X), X @ V.T, atol=1e-10)
+def test_project_transpose_is_the_adjoint():
+    geo = pad_geometry(5, 20)
+    stack = build_stack(3, geo, chi_sampler(geo.d_pad))
+    rng = np.random.default_rng(2)
+    X = rng.standard_normal((7, 5))
+    T = rng.standard_normal((7, geo.m_total))
+    m = geo.m_total
+    s = stack.s_radii * np.exp(0.3 * rng.standard_normal(m))
+    g = rng.standard_normal(m)
+    b = rng.uniform(-1.5, 1.5, m)
+    cases = [
+        ({}, stack),
+        ({"s_diag": s, "g_diag": g, "b_diag": b}, replace(stack, s_radii=s, g_diag=g, b_diag=b)),
+    ]
+    for overrides, dense_stack in cases:
+        V = dense_operator(dense_stack)[:, :5]  # padded input columns are zero
+        R = project_transpose(stack, T, **overrides)
+        assert R.shape == (7, 5)
+        assert np.allclose(R, T @ V, atol=1e-10)
+        lhs = np.sum(project(stack, X, **overrides) * T)
+        assert np.isclose(lhs, np.sum(X * R), rtol=1e-12, atol=1e-10)
 
 
 def test_effective_row_radii_equal_sampled_radii():
