@@ -10,7 +10,6 @@ emitted in deterministic order.
 import argparse
 import os
 import sys
-import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -19,7 +18,7 @@ import numpy as np
 from .data import fit_standardization, kfold_partitions, load_csv, load_feature_csv, rmse
 from .errors import DimensionError, FfgpError
 from .features import FAMILIES, KernelSpec
-from .model import load_model, save_model
+from .model import load_model, model_nbytes, save_model
 from .train import TrainConfig, fit
 
 # (Q, m_per_group) used when the flags are left unset
@@ -81,7 +80,7 @@ def _train_config(args, seed):
 
 def _fit_fold(template, ds, tr_idx, te_idx, config):
     """Train on one fold (standardizing on its training split); returns
-    (rmse, model, train_seconds, predict_seconds)."""
+    (rmse, model file bytes, train_seconds, predict_seconds)."""
     Xtr, ytr = ds.X[tr_idx], ds.y[tr_idx]
     Xte, yte = ds.X[te_idx], ds.y[te_idx]
     std = fit_standardization(Xtr, ytr)
@@ -90,7 +89,7 @@ def _fit_fold(template, ds, tr_idx, te_idx, config):
     t1 = time.perf_counter()
     mean, _ = model.predict(Xte)
     t2 = time.perf_counter()
-    return rmse(mean, yte), model, t1 - t0, t2 - t1
+    return rmse(mean, yte), model_nbytes(model), t1 - t0, t2 - t1
 
 
 def _run_folds(template, ds, k, config, jobs):
@@ -211,15 +210,7 @@ def cmd_bench(args, parser):
         scores = np.array([r[0] for r in results])
         train_s = sum(r[2] for r in results)
         predict_s = sum(r[3] for r in results)
-        with tempfile.NamedTemporaryFile(suffix=".bin", delete=False) as tmp:
-            path = tmp.name
-        try:
-            size = 0
-            for _, model, _, _ in results:
-                save_model(model, path)
-                size = max(size, os.path.getsize(path))
-        finally:
-            os.unlink(path)
+        size = max(r[1] for r in results)
         std = scores.std(ddof=1) if scores.size > 1 else 0.0
         rows.append(
             f"{family}\t{Q}\t{m}\t{scores.mean():.6f}\t{std:.6f}"

@@ -77,48 +77,56 @@ def _split_line(line: str) -> list:
     return [c for c in (line.split(",") if "," in line else line.split()) if c != ""]
 
 
+def _read_table(path):
+    """Parse a numeric table: (header names or None, finite rows, n_rejected).
+
+    A header row is auto-detected (a first line that fails to parse
+    numerically).  With no data rows the table is (0, 0); when every row
+    has a non-finite cell it is (0, n_cols).
+    """
+    with open(path) as fh:
+        lines = [ln for ln in (raw.strip() for raw in fh) if ln]
+    names = None
+    if lines:
+        first = _split_line(lines[0])
+        try:
+            [float(c) for c in first]
+        except ValueError:
+            names = first
+            lines = lines[1:]
+    if not lines:
+        return names, np.zeros((0, 0)), 0
+
+    n_cols = len(_split_line(lines[0]))
+    rows = []
+    for i, ln in enumerate(lines):
+        cells = _split_line(ln)
+        if len(cells) != n_cols:
+            raise ParseError(f"{path}: row {i + 1} has {len(cells)} cells, expected {n_cols}")
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError:
+            for j, c in enumerate(cells):
+                try:
+                    float(c)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: row {i + 1}, column {j + 1}: cannot parse {c!r}"
+                    ) from None
+    table = np.asarray(rows, dtype=float)
+    finite = np.isfinite(table).all(axis=1)
+    return names, table[finite], int(table.shape[0] - np.count_nonzero(finite))
+
+
 def load_csv(path, target_column=None) -> Dataset:
     """Read a numeric table; default target is the last column.
 
     target_column may be an integer index or a header name.  A header row is
     auto-detected (first line that fails to parse numerically).
     """
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise ParseError(f"{path}: empty input")
-
-    names = None
-    first = _split_line(lines[0])
-    try:
-        [float(c) for c in first]
-    except ValueError:
-        names = first
-        lines = lines[1:]
-        if not lines:
-            raise ParseError(f"{path}: header but no data rows")
-
-    n_cols = len(_split_line(lines[0]))
-    rows = []
-    rejected = 0
-    for i, ln in enumerate(lines):
-        cells = _split_line(ln)
-        if len(cells) != n_cols:
-            raise ParseError(f"{path}: row {i + 1} has {len(cells)} cells, expected {n_cols}")
-        vals = []
-        for j, c in enumerate(cells):
-            try:
-                vals.append(float(c))
-            except ValueError:
-                raise ParseError(f"{path}: row {i + 1}, column {j + 1}: cannot parse {c!r}")
-        if np.all(np.isfinite(vals)):
-            rows.append(vals)
-        else:
-            rejected += 1
-    if not rows:
-        raise ParseError(f"{path}: no finite data rows")
-    table = np.asarray(rows, dtype=float)
+    names, table, rejected = _read_table(path)
+    if table.shape[0] == 0:
+        raise ParseError(f"{path}: no finite data rows" if rejected else f"{path}: no data rows")
     if table.shape[1] < 2:
         raise DimensionError(f"{path}: need at least 2 columns (features + target)")
 
@@ -144,39 +152,12 @@ def load_csv(path, target_column=None) -> Dataset:
 def load_feature_csv(path):
     """Read a feature-only table (no target column).
 
-    Returns (X, n_rejected); an empty file yields a (0, 0) matrix so callers
-    can emit empty output instead of failing.
+    Returns (X, n_rejected); a file with no data rows yields a (0, 0)
+    matrix and one whose rows are all non-finite a (0, n_cols) matrix, so
+    callers can emit empty output instead of failing.
     """
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in lines if ln]
-    if lines:
-        first = _split_line(lines[0])
-        try:
-            [float(c) for c in first]
-        except ValueError:
-            lines = lines[1:]
-    if not lines:
-        return np.zeros((0, 0)), 0
-
-    n_cols = len(_split_line(lines[0]))
-    rows = []
-    rejected = 0
-    for i, ln in enumerate(lines):
-        cells = _split_line(ln)
-        if len(cells) != n_cols:
-            raise ParseError(f"{path}: row {i + 1} has {len(cells)} cells, expected {n_cols}")
-        try:
-            vals = [float(c) for c in cells]
-        except ValueError:
-            raise ParseError(f"{path}: row {i + 1}: cannot parse numeric cell")
-        if np.all(np.isfinite(vals)):
-            rows.append(vals)
-        else:
-            rejected += 1
-    if not rows:
-        return np.zeros((0, n_cols)), rejected
-    return np.asarray(rows, dtype=float), rejected
+    _, table, rejected = _read_table(path)
+    return table, rejected
 
 
 def kfold_partitions(n: int, k: int = 10, seed: int = 0) -> list:

@@ -8,7 +8,11 @@ K_y = W^T W + sigma^2 I_n, and everything routes through one of two forms:
       y^T K_y^{-1} y = (y^T y - (Wy)^T A^{-1} (Wy)) / sigma^2
   data form (D >= n):    K_y assembled directly (n x n)
 
-Both are exact; the switch is purely computational.  The posterior keeps
+Both are exact; the switch is purely computational.  Every gradient
+ingredient comes from the one multi-RHS solve for the co-matrix
+C = A^{-1} W = W K_y^{-1} (push-through identity): q = diag(W K_y^{-1} W^T)
+is the row sums of C * W and tr(K_y^{-1}) = (n - sum q) / sigma^2, so no
+triangular inverse is ever formed.  The posterior keeps
 beta = V^{1/2} A^{-1} W y plus the Cholesky factor of A, which is all the
 state prediction needs: mean = phi*^T beta and
 var = sigma^2 (1 + ||L^{-1} V^{1/2} phi*||^2).
@@ -73,57 +77,47 @@ def weighted_features(phi, weight_diag: np.ndarray) -> np.ndarray:
     return np.sqrt(w)[:, None] * data
 
 
+def _feature_solve(W: np.ndarray, y: np.ndarray, noise_var: float):
+    """Factor A = sigma^2 I_D + W W^T: returns (L, W y, u = A^{-1} W y)."""
+    L, _ = chol_with_jitter(noise_var * np.eye(W.shape[0]) + W @ W.T)
+    Wy = W @ y
+    return L, Wy, cho_solve((L, True), Wy)
+
+
 def _core(W: np.ndarray, y: np.ndarray, noise_var: float, mode: str, pieces: bool):
     """NLML (and optional gradient ingredients) in the chosen form.
 
-    Returns a dict with f and, when pieces: r (per-feature-row diagonal of
-    W (K^{-1} - alpha alpha^T) W^T), co-matrix factor C (so M = V^{1/2}-scaled
-    C later), alpha, u = W alpha, and tr(K^{-1}).
+    Returns a dict with f and, when pieces: the co-matrix C = A^{-1} W =
+    W K^{-1} (D x n), alpha = K^{-1} y, u = W alpha, r (per-feature-row
+    diagonal of W (K^{-1} - alpha alpha^T) W^T) and tr(K^{-1}).  Each form
+    solves only for its own C, alpha and u; r and tr(K^{-1}) both come from
+    q = diag(W K^{-1} W^T), the row sums of C * W, for either form.  No
+    triangular inverse is formed.
     """
     D, n = W.shape
     if mode == "auto":
         mode = "feature" if D < n else "data"
-    out = {}
     if mode == "feature":
-        A = noise_var * np.eye(D) + W @ W.T
-        L, _ = chol_with_jitter(A)
-        Wy = W @ y
-        AiWy = cho_solve((L, True), Wy)
+        L, Wy, u = _feature_solve(W, y, noise_var)
         logdet = 2.0 * np.sum(np.log(np.diag(L))) + (n - D) * np.log(noise_var)
-        quad = (y @ y - Wy @ AiWy) / noise_var
-        out["f"] = 0.5 * (n * np.log(2.0 * np.pi) + logdet + quad)
+        quad = (y @ y - Wy @ u) / noise_var
         if pieces:
-            C = cho_solve((L, True), W)  # A^{-1} W
-            Linv = solve_triangular(L, np.eye(D), lower=True)
-            diag_Ainv = np.einsum("ki,ki->i", Linv, Linv)
-            u = AiWy
+            C = cho_solve((L, True), W)
             alpha = (y - W.T @ u) / noise_var
-            out.update(
-                r=1.0 - noise_var * diag_Ainv - u**2,
-                C=C,
-                alpha=alpha,
-                u=u,
-                tr_Kinv=(n - D + noise_var * float(np.sum(diag_Ainv))) / noise_var,
-            )
     elif mode == "data":
-        K = W.T @ W + noise_var * np.eye(n)
-        L, _ = chol_with_jitter(K)
+        L, _ = chol_with_jitter(W.T @ W + noise_var * np.eye(n))
         alpha = cho_solve((L, True), y)
         logdet = 2.0 * np.sum(np.log(np.diag(L)))
-        out["f"] = 0.5 * (n * np.log(2.0 * np.pi) + logdet + y @ alpha)
+        quad = y @ alpha
         if pieces:
-            G = cho_solve((L, True), W.T)  # K^{-1} W^T, (n, D)
-            Linv = solve_triangular(L, np.eye(n), lower=True)
+            C = cho_solve((L, True), W.T).T
             u = W @ alpha
-            out.update(
-                r=np.einsum("in,ni->i", W, G) - u**2,
-                C=G.T,
-                alpha=alpha,
-                u=u,
-                tr_Kinv=float(np.sum(Linv**2)),
-            )
     else:
         raise DomainError(f"unknown mode {mode!r}")
+    out = {"f": 0.5 * (n * np.log(2.0 * np.pi) + logdet + quad)}
+    if pieces:
+        q = np.einsum("in,in->i", C, W)
+        out.update(r=q - u**2, C=C, alpha=alpha, u=u, tr_Kinv=(n - float(np.sum(q))) / noise_var)
     return out
 
 
@@ -162,10 +156,7 @@ def fit_posterior(phi, weight_diag, y, noise_var) -> PosteriorState:
     W = weighted_features(phi, weight_diag)
     if y.shape != (W.shape[1],):
         raise DimensionError(f"y must be ({W.shape[1]},), got {y.shape}")
-    D = W.shape[0]
-    A = noise_var * np.eye(D) + W @ W.T
-    L, _ = chol_with_jitter(A)
-    u = cho_solve((L, True), W @ y)
+    L, _, u = _feature_solve(W, y, noise_var)
     beta = np.sqrt(np.asarray(weight_diag, dtype=float)) * u
     return PosteriorState(
         beta=beta,

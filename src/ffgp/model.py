@@ -83,7 +83,7 @@ def _array_order(spec: KernelSpec):
     )
 
 
-def save_model(model: TrainedModel, path) -> None:
+def _header(model: TrainedModel) -> bytes:
     spec = model.spec
     meta = {
         "family": spec.family,
@@ -95,6 +95,16 @@ def save_model(model: TrainedModel, path) -> None:
     }
     header = MAGIC + " " + str(FORMAT_VERSION) + "\n"
     header += json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n"
+    return header.encode("ascii")
+
+
+def model_nbytes(model: TrainedModel) -> int:
+    """Size in bytes of the file save_model writes for this model."""
+    return len(_header(model)) + 8 * sum(length for _, length in _array_order(model.spec))
+
+
+def save_model(model: TrainedModel, path) -> None:
+    spec = model.spec
     tril = np.tril_indices(spec.n_rows)
     std = model.standardization
     blocks = {
@@ -113,7 +123,7 @@ def save_model(model: TrainedModel, path) -> None:
         arr = np.ascontiguousarray(np.asarray(blocks[name], dtype="<f8").reshape(length))
         payload += arr.tobytes()
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
+        fh.write(_header(model))
         fh.write(payload)
 
 

@@ -219,7 +219,15 @@ def test_bench_report_format(tmp_path, capsys, cosine_csv):
     for ln, fam in zip(lines[1:], ("frbf", "gm")):
         cells = ln.split("\t")
         assert cells[0] == fam
-        assert int(cells[7]) > 0
+        # model_bytes is the size of the file `train` writes for the same combo
+        model_path = tmp_path / f"{fam}.bin"
+        code, _, _ = run(
+            capsys,
+            ["train", "--data", str(cosine_csv), "--kernel", fam, "--Q", "1", "--m", "8",
+             "--seed", "0", "--out", str(model_path)] + FAST,
+        )
+        assert code == 0
+        assert int(cells[7]) == model_path.stat().st_size
 
 
 def test_bench_rejects_bad_combo(capsys, cosine_csv):

@@ -91,6 +91,8 @@ def test_load_feature_csv(tmp_path):
     assert X.shape == (0, 2) and rej == 2
     with pytest.raises(ParseError):
         load_feature_csv(write(tmp_path, "1,2\n3\n"))
+    with pytest.raises(ParseError, match="row 2, column 2: cannot parse 'x'"):
+        load_feature_csv(write(tmp_path, "1,2\n3,x\n"))
 
 
 def test_save_load_round_trip(tmp_path):

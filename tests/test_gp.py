@@ -9,6 +9,7 @@ import pytest
 import ffgp.features as ft
 from ffgp.errors import DimensionError, DomainError, IllConditionedError
 from ffgp.gp import (
+    _core,
     chol_with_jitter,
     fit_posterior,
     neg_log_marginal_likelihood,
@@ -38,6 +39,32 @@ def test_nlml_matches_dense_oracle(n, D):
     for mode in ("feature", "data", "auto"):
         got = neg_log_marginal_likelihood(phi, v, y, noise_var, mode=mode)
         assert got == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "D,n,noise_var", [(12, 40, 0.3), (25, 25, 0.3), (40, 12, 0.3), (200, 90, 1e-6)]
+)
+def test_core_pieces_match_dense_inverse(D, n, noise_var):
+    # the last case is rank-deficient A = sigma^2 I + W W^T in the forced
+    # feature form, where tr(K^{-1}) must not come from an inverse of A
+    rng = np.random.default_rng(0)
+    W = rng.standard_normal((D, n)) / np.sqrt(D)
+    y = rng.standard_normal(n)
+    evals, vecs = np.linalg.eigh(W.T @ W + noise_var * np.eye(n))
+    K_inv = (vecs / evals) @ vecs.T
+    alpha = K_inv @ y
+    want = {
+        "alpha": alpha,
+        "u": W @ alpha,
+        "C": W @ K_inv,
+        "r": np.einsum("in,in->i", W @ (K_inv - np.outer(alpha, alpha)), W),
+        "tr_Kinv": np.sum(1.0 / evals),
+    }
+    for mode in ("feature", "data"):
+        got = _core(W, y, noise_var, mode, pieces=True)
+        for name, ref in want.items():
+            err = np.max(np.abs(got[name] - ref)) / np.max(np.abs(ref))
+            assert err <= 1e-8, (mode, name, err)
 
 
 def test_feature_and_data_forms_agree():

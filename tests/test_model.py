@@ -6,7 +6,7 @@ import pytest
 import ffgp.features as ft
 from ffgp.data import fit_standardization, make_cosine, make_smooth
 from ffgp.errors import DimensionError, ParseError
-from ffgp.model import TrainedModel, load_model, save_model
+from ffgp.model import TrainedModel, load_model, model_nbytes, save_model
 from ffgp.train import TrainConfig, fit
 
 
@@ -47,6 +47,14 @@ def test_model_size_independent_of_n(tmp_path):
         save_model(model, p)
         sizes.append(p.stat().st_size)
     assert sizes[0] == sizes[1]
+
+
+@pytest.mark.parametrize("family", ft.FAMILIES)
+def test_model_nbytes_is_the_saved_file_size(tmp_path, family):
+    model, _, _ = small_model(family=family, d=2)
+    p = tmp_path / "m.bin"
+    save_model(model, p)
+    assert model_nbytes(model) == p.stat().st_size
 
 
 def test_predict_validates_dimensions():
