@@ -8,15 +8,13 @@ Usage: python3 scripts/run_scaling.py [--sizes 2000 8000 32000]
 """
 
 import argparse
-import os
-import tempfile
 import time
 
 import numpy as np
 
 import ffgp.features as ft
 from ffgp.data import make_smooth
-from ffgp.model import save_model
+from ffgp.model import model_nbytes
 from ffgp.train import TrainConfig, fit
 
 
@@ -39,13 +37,7 @@ def main():
         t0 = time.perf_counter()
         model, _ = fit(template, X, y, config)
         times.append(time.perf_counter() - t0)
-        with tempfile.NamedTemporaryFile(suffix=".bin", delete=False) as tmp:
-            path = tmp.name
-        try:
-            save_model(model, path)
-            sizes.append(os.path.getsize(path))
-        finally:
-            os.unlink(path)
+        sizes.append(model_nbytes(model))
         print(f"{n}\t{times[-1]:.2f}\t{sizes[-1]}")
 
     slope = float(np.polyfit(np.log(args.sizes), np.log(times), 1)[0])

@@ -74,7 +74,8 @@ class Dataset:
 
 
 def _split_line(line: str) -> list:
-    return [c for c in (line.split(",") if "," in line else line.split()) if c != ""]
+    # an empty comma-delimited cell is kept, so it fails to parse as a number
+    return line.split(",") if "," in line else line.split()
 
 
 def _read_table(path):
@@ -98,6 +99,8 @@ def _read_table(path):
         return names, np.zeros((0, 0)), 0
 
     n_cols = len(_split_line(lines[0]))
+    if names is not None and len(names) != n_cols:
+        raise ParseError(f"{path}: header has {len(names)} names, rows have {n_cols} cells")
     rows = []
     for i, ln in enumerate(lines):
         cells = _split_line(ln)

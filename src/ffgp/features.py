@@ -19,6 +19,10 @@ packed as a log *multiplier* against the sampled stack radii with initial
 value 0: exp(0.0) == 1.0 exactly, so a freshly initialized fsard/fsgbard spec
 reproduces fard features bit for bit, which a log of the raw radii could not
 guarantee (exp(log(s)) may differ from s in the last ulp).
+
+Each evaluation builds a group's Fastfood operator once, in compute_features;
+the gradient takes every derivative from it (the per-coordinate reference
+Jacobian that the tests check it against lives in ffgp.oracle).
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .fastfood import FastfoodStack, build_stack, project, project_transpose, sample_chi_radii
+from .fastfood import FastfoodStack, build_stack, project, sample_chi_radii
+from .fastfood import project_transpose  # noqa: F401  unused; perfbench/tracer.py wraps it here
 from .hadamard import PadGeometry, fwht_inplace, pad_geometry
 from .spectra import GmComponent, HatSpectrum, hat_radii, hat_unit_quantile
 
@@ -314,10 +319,12 @@ def build_stacks(spec: KernelSpec, seed: int) -> list:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Feature rows by data columns, with group row boundaries."""
+    """Feature rows by data columns, group row boundaries, and each group's
+    dense (d_in, m') Fastfood operator: xi_q = xs_q @ operators[q]."""
 
     data: np.ndarray
     group_offsets: np.ndarray
+    operators: tuple = ()
 
 
 def _group_overrides(spec: KernelSpec, stacks, q: int):
@@ -349,13 +356,13 @@ def _scaled_inputs(spec: KernelSpec, q: int, X: np.ndarray) -> np.ndarray:
     raise DomainError(spec.family)
 
 
-def _group_xi(spec: KernelSpec, stacks, q: int, X: np.ndarray) -> np.ndarray:
-    s, g, b = _group_overrides(spec, stacks, q)
-    return project(stacks[q], _scaled_inputs(spec, q, X), s_diag=s, g_diag=g, b_diag=b)
-
-
 def compute_features(spec: KernelSpec, stacks, X: np.ndarray) -> DesignMatrix:
-    """Assemble the (D_feat, n) design matrix for spec at inputs X (n, d_in)."""
+    """Assemble the (D_feat, n) design matrix for spec at inputs X (n, d_in).
+
+    Each stack is built once, as op = project(stack, I_{d_in}), and applied as
+    xi = xs @ op; projecting the identity adds 2 d_in^2 m' flops, d_in / n of
+    the product's.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != spec.d_in:
         raise DimensionError(f"X must be (n, {spec.d_in}), got {X.shape}")
@@ -367,8 +374,12 @@ def compute_features(spec: KernelSpec, stacks, X: np.ndarray) -> DesignMatrix:
     m = spec.m_realized
     rpg = spec.rows_per_group
     data = np.empty((spec.n_rows, n))
+    eye = np.eye(spec.d_in)
+    operators = []
     for q in range(spec.Q):
-        xi = _group_xi(spec, stacks, q, X)  # (n, m)
+        s, g, b = _group_overrides(spec, stacks, q)
+        operators.append(project(stacks[q], eye, s_diag=s, g_diag=g, b_diag=b))
+        xi = _scaled_inputs(spec, q, X) @ operators[q]  # (n, m)
         base = q * rpg
         if spec.family == "gm":
             zeta = X @ spec.component(q).mu  # (n,)
@@ -382,7 +393,7 @@ def compute_features(spec: KernelSpec, stacks, X: np.ndarray) -> DesignMatrix:
             data[base : base + m] = np.cos(xi).T
             data[base + m : base + 2 * m] = np.sin(xi).T
     offsets = np.arange(spec.Q + 1) * rpg
-    return DesignMatrix(data=data, group_offsets=offsets)
+    return DesignMatrix(data=data, group_offsets=offsets, operators=tuple(operators))
 
 
 def feature_weight_matrix(spec: KernelSpec) -> np.ndarray:
@@ -433,117 +444,6 @@ def param_info(spec: KernelSpec, index: int):
     return ("hat_mu", q, None) if within == d + 1 else ("hat_sigma", q, None)
 
 
-def _pad_cols(X: np.ndarray, geo: PadGeometry) -> np.ndarray:
-    out = np.zeros((X.shape[0], geo.d_pad))
-    out[:, : geo.d_in] = X
-    return out
-
-
-def _dxi_for_param(spec, stacks, q, X, kind, j, xi=None):
-    """d(xi_q)/d(theta) as an (n, m') array for parameters that move xi."""
-    stack = stacks[q]
-    geo = stack.geometry
-    d = geo.d_pad
-    s_eff, g_eff, b_eff = _group_overrides(spec, stacks, q)
-    s_all = stack.s_radii if s_eff is None else s_eff
-    g_all = stack.g_diag if g_eff is None else g_eff
-    b_all = stack.b_diag if b_eff is None else b_eff
-    xs = _scaled_inputs(spec, q, X)
-
-    if kind in ("log_ell", "log_sd"):
-        sign = 1.0 if kind == "log_sd" else -1.0
-        if spec.family == "frbf":
-            # one shared lengthscale scales every input column
-            Z = sign * xs
-        else:
-            Z = np.zeros_like(xs)
-            Z[:, j] = sign * xs[:, j]
-        return project(stack, Z, s_diag=s_eff, g_diag=g_eff, b_diag=b_eff)
-    if kind == "s_mult":
-        if xi is None:
-            xi = _group_xi(spec, stacks, q, X)
-        dxi = np.zeros_like(xi)
-        dxi[:, j] = xi[:, j]
-        return dxi
-    if kind in ("hat_mu", "hat_sigma"):
-        if xi is None:
-            xi = _group_xi(spec, stacks, q, X)
-        hat = spec.hat(q)
-        r = hat_radii(hat.mu, hat.sigma, stack.uniform_draws)
-        dr = np.full_like(r, hat.mu) if kind == "hat_mu" else hat.sigma * hat_unit_quantile(stack.uniform_draws)
-        return xi * (dr / r)
-    if kind == "g":
-        blk, jl = divmod(j, d)
-        lo = blk * d
-        xp = _pad_cols(xs, geo)
-        v = xp * b_all[lo : lo + d]
-        fwht_inplace(v)
-        v3 = v[:, stack.perms[blk]]
-        e = np.zeros(d)
-        e[jl] = 1.0
-        hcol = fwht_inplace(e)
-        dxi = np.zeros((X.shape[0], geo.m_total))
-        dxi[:, lo : lo + d] = np.outer(v3[:, jl], s_all[lo : lo + d] * hcol / np.sqrt(d))
-        return dxi
-    if kind == "b":
-        blk, jl = divmod(j, d)
-        lo = blk * d
-        xp = _pad_cols(xs, geo)
-        e = np.zeros(d)
-        e[jl] = 1.0
-        fwht_inplace(e)
-        c = g_all[lo : lo + d] * e[stack.perms[blk]]
-        fwht_inplace(c)
-        c *= s_all[lo : lo + d] / np.sqrt(d)
-        dxi = np.zeros((X.shape[0], geo.m_total))
-        dxi[:, lo : lo + d] = np.outer(xp[:, jl], c)
-        return dxi
-    raise DomainError(f"parameter kind {kind!r} does not move xi")
-
-
-def feature_jacobian(spec: KernelSpec, stacks, X: np.ndarray, param_index: int) -> np.ndarray:
-    """Exact d(design matrix)/d(packed parameter), same shape as the data.
-
-    project is linear, so xi-derivatives are themselves stack projections
-    of scaled inputs; trig rows follow by the chain rule.  Weight parameters
-    (log a, log v_q) never move the raw features, so their slices are zero.
-    """
-    X = np.asarray(X, dtype=float)
-    kind, q, j = param_info(spec, param_index)
-    n = X.shape[0]
-    m = spec.m_realized
-    rpg = spec.rows_per_group
-    out = np.zeros((spec.n_rows, n))
-    if kind in ("log_a", "log_v"):
-        return out
-
-    groups = range(spec.Q) if (kind == "log_ell" and spec.family != "pwl") else [q]
-    for gq in groups:
-        xi = _group_xi(spec, stacks, gq, X)
-        # mu moves the phase zeta, not xi, so it has no stack projection
-        dxi = None if kind == "mu" else _dxi_for_param(spec, stacks, gq, X, kind, j, xi=xi)
-        base = gq * rpg
-        if spec.family == "gm":
-            comp = spec.component(gq)
-            zeta = X @ comp.mu
-            if kind == "mu":
-                darg_p = np.broadcast_to(X[:, j][:, None], xi.shape)
-                darg_m = -darg_p
-            else:
-                darg_p = dxi
-                darg_m = dxi
-            plus = xi + zeta[:, None]
-            minus = xi - zeta[:, None]
-            out[base : base + m] = (np.cos(plus) * darg_p).T
-            out[base + m : base + 2 * m] = (-np.sin(plus) * darg_p).T
-            out[base + 2 * m : base + 3 * m] = (np.cos(minus) * darg_m).T
-            out[base + 3 * m : base + 4 * m] = (-np.sin(minus) * darg_m).T
-        else:
-            out[base : base + m] = (-np.sin(xi) * dxi).T
-            out[base + m : base + 2 * m] = (np.cos(xi) * dxi).T
-    return out
-
-
 def feature_param_gradients(
     spec: KernelSpec, stacks, X: np.ndarray, M: np.ndarray, phi: DesignMatrix
 ) -> np.ndarray:
@@ -551,77 +451,68 @@ def feature_param_gradients(
 
     Returns g with g[k] = <M, dPhi/dtheta_k> for every packed feature
     parameter, zeros at weight-only coordinates (the likelihood handles those
-    through the weight diagonal).  Uses the transposed stack to batch whole
-    parameter blocks instead of calling feature_jacobian per coordinate; the
-    fsgbard G and B blocks contract through the (d_in, m) array xs^T T, so
-    their transforms never run over the n data rows.
+    through the weight diagonal).  Per group, the trig chain rule gives
+    T = dL/dxi (n, m'), and every parameter that moves xi = xs @ op enters
+    through C = xs^T T (d_in, m') and the operator phi.operators[q]: a scale
+    on input column j (log-lengthscales, gm log-sigma) gives row sum j of
+    C * op, a scale on frequency k (S multipliers, the PWL hat) its column
+    sum k, which equals sum_n T * xi.  The fsgbard G and B transforms run on
+    C as well, so no stack is applied to the n data rows here.
     """
     X = np.asarray(X, dtype=float)
-    d_in, m, Q = spec.d_in, spec.m_realized, spec.Q
+    n, d_in, m = X.shape[0], spec.d_in, spec.m_realized
     rpg = spec.rows_per_group
     grad = np.zeros(spec.n_params)
     fam = spec.family
 
-    # ARD-shared accumulation across groups for the F families
-    shared_R = None
-
-    for q in range(Q):
+    for q in range(spec.Q):
         base = q * rpg
-        stack = stacks[q]
-        geo = stack.geometry
-        s_eff, g_eff, b_eff = _group_overrides(spec, stacks, q)
+        op = phi.operators[q]
         xs = _scaled_inputs(spec, q, X)
+        gbase = 0 if fam in ("frbf", "fard") else spec._group_base(q)
 
         if fam == "gm":
-            sin_p = phi.data[base : base + m]
-            cos_p = phi.data[base + m : base + 2 * m]
-            sin_m = phi.data[base + 2 * m : base + 3 * m]
-            cos_m = phi.data[base + 3 * m : base + 4 * m]
-            Msp = M[base : base + m]
-            Mcp = M[base + m : base + 2 * m]
-            Msm = M[base + 2 * m : base + 3 * m]
-            Mcm = M[base + 3 * m : base + 4 * m]
+            sin_p, cos_p, sin_m, cos_m = phi.data[base : base + rpg].reshape(4, m, n)
+            Msp, Mcp, Msm, Mcm = M[base : base + rpg].reshape(4, m, n)
             t_plus = (Msp * cos_p - Mcp * sin_p).T  # (n, m)
             t_minus = (Msm * cos_m - Mcm * sin_m).T
-            t_sum = t_plus + t_minus
             # mu_q: dP = +x_j, dM = -x_j
-            gbase = spec._group_base(q)
             grad[gbase + 1 : gbase + 1 + d_in] = X.T @ (t_plus - t_minus).sum(axis=1)
-            # log sigma_diag: dxs_j = +xs_j through the stack transpose
-            R = project_transpose(stack, t_sum, s_diag=s_eff, g_diag=g_eff, b_diag=b_eff)
-            grad[gbase + 1 + d_in : gbase + 1 + 2 * d_in] = np.einsum("nj,nj->j", R, xs)
+            # log sigma_diag: dxs_j = +xs_j
+            Cop = (xs.T @ (t_plus + t_minus)) * op
+            grad[gbase + 1 + d_in : gbase + 1 + 2 * d_in] = Cop.sum(axis=1)
             continue
 
-        cos_rows = phi.data[base : base + m]
-        sin_rows = phi.data[base + m : base + 2 * m]
-        Mc = M[base : base + m]
-        Ms = M[base + m : base + 2 * m]
+        cos_rows, sin_rows = phi.data[base : base + rpg].reshape(2, m, n)
+        Mc, Ms = M[base : base + rpg].reshape(2, m, n)
         T = (Ms * cos_rows - Mc * sin_rows).T  # (n, m)
-        R = project_transpose(stack, T, s_diag=s_eff, g_diag=g_eff, b_diag=b_eff)
+        C = xs.T @ T  # every xi-moving derivative is linear in C
+        Cop = C * op
 
         if fam == "pwl":
-            gbase = spec._group_base(q)
-            grad[gbase + 1 : gbase + 1 + d_in] = -np.einsum("nj,nj->j", R, xs)
-            xi = project(stack, xs, s_diag=s_eff, g_diag=g_eff, b_diag=b_eff)
+            u = stacks[q].uniform_draws
             hat = spec.hat(q)
-            r = hat_radii(hat.mu, hat.sigma, stack.uniform_draws)
-            qs = hat_unit_quantile(stack.uniform_draws)
-            txi = np.einsum("nm,nm->m", T, xi)
+            r = hat_radii(hat.mu, hat.sigma, u)
+            txi = Cop.sum(axis=0)  # sum_n T * xi
+            grad[gbase + 1 : gbase + 1 + d_in] = -Cop.sum(axis=1)
             grad[gbase + 1 + d_in] = float(np.sum(txi * (hat.mu / r)))
-            grad[gbase + 2 + d_in] = float(np.sum(txi * (hat.sigma * qs / r)))
+            grad[gbase + 2 + d_in] = float(np.sum(txi * (hat.sigma * hat_unit_quantile(u) / r)))
             continue
 
-        # F families: shared log-lengthscales accumulate over groups
-        shared_R = R if shared_R is None else shared_R + R
+        # F families: the log-lengthscales are shared by every group
+        per_dim = -Cop.sum(axis=1)
+        if fam == "frbf":
+            grad[1] += per_dim.sum()
+        else:
+            grad[1 : 1 + d_in] += per_dim
         if fam in ("fsard", "fsgbard"):
-            xi = project(stack, xs, s_diag=s_eff, g_diag=g_eff, b_diag=b_eff)
-            gbase = spec._group_base(q)
-            grad[gbase : gbase + m] = np.einsum("nm,nm->m", T, xi)
+            grad[gbase : gbase + m] = Cop.sum(axis=0)
         if fam == "fsgbard":
-            C = xs.T @ T  # every G and B derivative is linear in C
+            stack = stacks[q]
+            geo = stack.geometry
+            s_eff, g_eff, b_eff = _group_overrides(spec, stacks, q)
             d = geo.d_pad
             scale = 1.0 / np.sqrt(d)
-            gbase = spec._group_base(q)
             for blk in range(geo.blocks):
                 lo = blk * d
                 ct = C[:, lo : lo + d] * (s_eff[lo : lo + d] * scale)
@@ -635,12 +526,4 @@ def feature_param_gradients(
                 fwht_inplace(w2)  # w2 = L^T C for this block (no b)
                 # padded inputs are zero, so only the first d_in B entries move
                 grad[gbase + 2 * m + lo : gbase + 2 * m + lo + d_in] = w2.diagonal()
-
-    if fam in ("frbf", "fard", "fsard", "fsgbard") and shared_R is not None:
-        xs = _scaled_inputs(spec, 0, X)
-        per_dim = -np.einsum("nj,nj->j", shared_R, xs)
-        if fam == "frbf":
-            grad[1] = per_dim.sum()
-        else:
-            grad[1 : 1 + d_in] = per_dim
     return grad

@@ -181,8 +181,9 @@ def predict(state: PosteriorState, phi_star):
             f"phi_star has {data.shape[0]} rows, model has {state.beta.shape[0]}"
         )
     mean = data.T @ state.beta
-    z = np.sqrt(state.weight_diag)[:, None] * data
-    half = solve_triangular(state.chol_factor, z, lower=True)
+    # Fortran order lets the solve overwrite z in place: one D x n copy, not two
+    z = np.multiply(np.sqrt(state.weight_diag)[:, None], data, order="F")
+    half = solve_triangular(state.chol_factor, z, lower=True, overwrite_b=True)
     var = state.noise_var * (1.0 + np.einsum("kj,kj->j", half, half))
     return (float(mean[0]), float(var[0])) if single else (mean, var)
 

@@ -3,7 +3,9 @@
 Everything here is deliberately independent of the fast paths: the Hadamard
 reference comes from scipy, Gram matrices are dense closed forms, the
 Monte-Carlo radial kernel draws its radii by rejection sampling (not the
-library's inverse CDF), and the GP solver works on the full n x n covariance.
+library's inverse CDF), the GP solver works on the full n x n covariance,
+and the feature Jacobian derives each d(xi) from `project` one coordinate at
+a time, independently of the (C, op) contraction the training gradient uses.
 Guards keep instances small; oracles exist to verify, not to run.
 """
 
@@ -15,6 +17,10 @@ import numpy as np
 from scipy.linalg import cholesky, hadamard, solve_triangular
 
 from .errors import DimensionError, DomainError, IllConditionedError
+from .fastfood import project
+from .features import KernelSpec, _group_overrides, _scaled_inputs, param_info
+from .hadamard import PadGeometry, fwht_inplace
+from .spectra import hat_radii, hat_unit_quantile
 
 MAX_ORACLE_N = 2000
 
@@ -171,3 +177,107 @@ def dense_gp_nlml_predict(gram, y, noise_var, cross_cov=None, prior_var=None):
     pv = np.asarray(prior_var, dtype=float)
     variances = pv + noise_var - np.einsum("ij,ij->j", half, half)
     return float(nlml), means, variances
+
+
+def _pad_cols(X: np.ndarray, geo: PadGeometry) -> np.ndarray:
+    out = np.zeros((X.shape[0], geo.d_pad))
+    out[:, : geo.d_in] = X
+    return out
+
+
+def _group_xi(spec: KernelSpec, stacks, q: int, X: np.ndarray) -> np.ndarray:
+    s, g, b = _group_overrides(spec, stacks, q)
+    return project(stacks[q], _scaled_inputs(spec, q, X), s_diag=s, g_diag=g, b_diag=b)
+
+
+def _dxi_for_param(spec, stacks, q, X, kind, j, xi):
+    """d(xi_q)/d(theta) as an (n, m') array for parameters that move xi."""
+    stack = stacks[q]
+    geo = stack.geometry
+    d = geo.d_pad
+    s_eff, g_eff, b_eff = _group_overrides(spec, stacks, q)
+    s_all = stack.s_radii if s_eff is None else s_eff
+    g_all = stack.g_diag if g_eff is None else g_eff
+    b_all = stack.b_diag if b_eff is None else b_eff
+    xs = _scaled_inputs(spec, q, X)
+
+    if kind in ("log_ell", "log_sd"):
+        sign = 1.0 if kind == "log_sd" else -1.0
+        if spec.family == "frbf":
+            # one shared lengthscale scales every input column
+            Z = sign * xs
+        else:
+            Z = np.zeros_like(xs)
+            Z[:, j] = sign * xs[:, j]
+        return project(stack, Z, s_diag=s_eff, g_diag=g_eff, b_diag=b_eff)
+    if kind == "s_mult":
+        dxi = np.zeros_like(xi)
+        dxi[:, j] = xi[:, j]
+        return dxi
+    if kind in ("hat_mu", "hat_sigma"):
+        hat = spec.hat(q)
+        r = hat_radii(hat.mu, hat.sigma, stack.uniform_draws)
+        dr = np.full_like(r, hat.mu) if kind == "hat_mu" else hat.sigma * hat_unit_quantile(stack.uniform_draws)
+        return xi * (dr / r)
+    if kind not in ("g", "b"):
+        raise DomainError(f"parameter kind {kind!r} does not move xi")
+    blk, jl = divmod(j, d)
+    lo = blk * d
+    xp = _pad_cols(xs, geo)
+    e = np.zeros(d)
+    e[jl] = 1.0
+    fwht_inplace(e)  # column jl of H
+    dxi = np.zeros((X.shape[0], geo.m_total))
+    if kind == "g":
+        v = xp * b_all[lo : lo + d]
+        fwht_inplace(v)
+        v3 = v[:, stack.perms[blk]]
+        dxi[:, lo : lo + d] = np.outer(v3[:, jl], s_all[lo : lo + d] * e / np.sqrt(d))
+    else:
+        c = g_all[lo : lo + d] * e[stack.perms[blk]]
+        fwht_inplace(c)
+        c *= s_all[lo : lo + d] / np.sqrt(d)
+        dxi[:, lo : lo + d] = np.outer(xp[:, jl], c)
+    return dxi
+
+
+def feature_jacobian(spec: KernelSpec, stacks, X: np.ndarray, param_index: int) -> np.ndarray:
+    """Exact d(design matrix)/d(packed parameter), same shape as the data.
+
+    project is linear, so xi-derivatives are themselves stack projections
+    of scaled inputs; trig rows follow by the chain rule.  Weight parameters
+    (log a, log v_q) never move the raw features, so their slices are zero.
+    """
+    X = np.asarray(X, dtype=float)
+    kind, q, j = param_info(spec, param_index)
+    n = X.shape[0]
+    m = spec.m_realized
+    rpg = spec.rows_per_group
+    out = np.zeros((spec.n_rows, n))
+    if kind in ("log_a", "log_v"):
+        return out
+
+    groups = range(spec.Q) if (kind == "log_ell" and spec.family != "pwl") else [q]
+    for gq in groups:
+        xi = _group_xi(spec, stacks, gq, X)
+        # mu moves the phase zeta, not xi, so it has no stack projection
+        dxi = None if kind == "mu" else _dxi_for_param(spec, stacks, gq, X, kind, j, xi)
+        base = gq * rpg
+        if spec.family == "gm":
+            comp = spec.component(gq)
+            zeta = X @ comp.mu
+            if kind == "mu":
+                darg_p = np.broadcast_to(X[:, j][:, None], xi.shape)
+                darg_m = -darg_p
+            else:
+                darg_p = darg_m = dxi
+            plus = xi + zeta[:, None]
+            minus = xi - zeta[:, None]
+            out[base : base + m] = (np.cos(plus) * darg_p).T
+            out[base + m : base + 2 * m] = (-np.sin(plus) * darg_p).T
+            out[base + 2 * m : base + 3 * m] = (np.cos(minus) * darg_m).T
+            out[base + 3 * m : base + 4 * m] = (-np.sin(minus) * darg_m).T
+        else:
+            out[base : base + m] = (-np.sin(xi) * dxi).T
+            out[base + m : base + 2 * m] = (np.cos(xi) * dxi).T
+    return out

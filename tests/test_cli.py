@@ -265,3 +265,19 @@ def test_target_col_by_name(tmp_path, capsys):
          "--m", "8", "--seed", "0", "--out", str(out)] + FAST,
     )
     assert code == 0 and out.exists()
+
+
+@pytest.mark.parametrize("text,target", [
+    ("a,b,c\n1,,3\n4,,6\n", ["--target-col", "c"]),  # empty cell
+    ("a,b\n1,2,3\n4,5,6\n", []),  # header shorter than the rows
+])
+def test_train_rejects_malformed_csv(tmp_path, capsys, text, target):
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    code, stdout, stderr = run(
+        capsys,
+        ["train", "--data", str(p), "--kernel", "frbf", "--m", "8",
+         "--out", str(tmp_path / "m.bin")] + target + FAST,
+    )
+    assert code == 1 and stdout == ""
+    assert stderr.startswith("error:") and stderr.count("\n") == 1

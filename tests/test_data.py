@@ -79,6 +79,10 @@ def test_load_csv_errors(tmp_path):
         load_csv(write(tmp_path, "a,b\n1,2\n"), target_column="z")
     with pytest.raises(DimensionError):
         load_csv(write(tmp_path, "1,2\n"), target_column=5)
+    with pytest.raises(ParseError, match="row 1, column 2: cannot parse ''"):
+        load_csv(write(tmp_path, "a,b,c\n1,,3\n4,,6\n"), target_column="c")
+    with pytest.raises(ParseError, match="header has 2 names, rows have 3 cells"):
+        load_csv(write(tmp_path, "a,b\n1,2,3\n4,5,6\n"))
 
 
 def test_load_feature_csv(tmp_path):

@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
+import ffgp.fastfood as ff
 import ffgp.features as ft
 from ffgp.errors import DimensionError, DomainError, IllConditionedError
 from ffgp.gp import (
@@ -122,6 +124,18 @@ def test_predict_scalar_for_single_column():
     assert mean == means[0] and var == variances[0]
 
 
+def test_predict_leaves_features_alone_and_matches_c_order_solve():
+    phi, v, y = random_problem(6, 40, 12)
+    state = fit_posterior(phi, v, y, 0.2)
+    phi_star = np.random.default_rng(7).standard_normal((12, 30))
+    before = phi_star.copy()
+    mean, var = predict(state, phi_star)
+    np.testing.assert_array_equal(phi_star, before)
+    half = solve_triangular(state.chol_factor, np.sqrt(v)[:, None] * phi_star, lower=True)
+    np.testing.assert_array_equal(var, 0.2 * (1.0 + np.einsum("kj,kj->j", half, half)))
+    np.testing.assert_array_equal(mean, phi_star.T @ state.beta)
+
+
 def test_chol_jitter_recovers_singular_psd():
     a = np.ones((4, 4))  # rank 1, PSD but singular
     L, jitter = chol_with_jitter(a)
@@ -213,3 +227,31 @@ def test_auto_mode_picks_matching_form():
         auto = neg_log_marginal_likelihood(phi, v, y, 0.2, mode="auto")
         explicit = neg_log_marginal_likelihood(phi, v, y, 0.2, mode=expect)
         assert auto == explicit
+
+
+@pytest.mark.parametrize("family", ft.FAMILIES)
+def test_one_operator_build_per_group_per_evaluation(family, monkeypatch):
+    # features and every feature gradient share one Fastfood operator per group
+    rng = np.random.default_rng(8)
+    Q = 1 if family in ("frbf", "fard") else 2
+    spec = ft.KernelSpec.template(family, 3, Q, 4)
+    spec = spec.with_params(spec.params + 0.1 * rng.standard_normal(spec.n_params))
+    stacks = ft.build_stacks(spec, seed=5)
+    X = rng.standard_normal((20, 3))
+    y = rng.standard_normal(20)
+    built = []
+    block_matrix = ff._block_matrix
+
+    def counted(stack, *args):
+        built.append(stack)
+        return block_matrix(stack, *args)
+
+    def no_transpose(*args, **kwargs):
+        raise AssertionError("project_transpose called")
+
+    monkeypatch.setattr(ff, "_block_matrix", counted)
+    monkeypatch.setattr(ff, "project_transpose", no_transpose)
+    monkeypatch.setattr(ft, "project_transpose", no_transpose)
+    nlml_value_and_grad(spec, stacks, X, y, ft.pack_hyper(spec, math.log(0.3)))
+    assert len(built) == spec.Q
+    assert all(b is s for b, s in zip(built, stacks))
