@@ -34,7 +34,7 @@ class Standardization:
         return np.asarray(y_std_units, dtype=float) * self.y_std + self.y_mean
 
     def undo_y_var(self, var_std_units) -> np.ndarray:
-        return np.asarray(var_std_units, dtype=float) * self.y_std**2
+        return np.asarray(var_std_units, dtype=float) * np.square(self.y_std)
 
     @classmethod
     def identity(cls, d: int) -> "Standardization":

@@ -57,6 +57,11 @@ def hyper_count(family: str, d_in: int, Q: int, m_realized: int) -> int:
     raise DomainError(f"unknown family {family!r}")
 
 
+def feature_rows(family: str, Q: int, m_realized: int) -> int:
+    """Design-matrix rows D: a cos and a sin row per frequency, four for gm."""
+    return Q * (4 if family == "gm" else 2) * m_realized
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """One kernel family instance: structure plus packed feature parameters.
@@ -108,11 +113,11 @@ class KernelSpec:
 
     @property
     def rows_per_group(self) -> int:
-        return 4 * self.m_realized if self.family == "gm" else 2 * self.m_realized
+        return feature_rows(self.family, 1, self.m_realized)
 
     @property
     def n_rows(self) -> int:
-        return self.Q * self.rows_per_group
+        return feature_rows(self.family, self.Q, self.m_realized)
 
     # ---- packed layout helpers -----------------------------------------
 
@@ -320,7 +325,12 @@ def build_stacks(spec: KernelSpec, seed: int) -> list:
 @dataclass(frozen=True)
 class DesignMatrix:
     """Feature rows by data columns, group row boundaries, and each group's
-    dense (d_in, m') Fastfood operator: xi_q = xs_q @ operators[q]."""
+    dense (d_in, m') Fastfood operator: xi_q = xs_q @ operators[q].
+
+    data is point-major (Fortran order): the D features of one point are
+    contiguous, so the trig writes fill rows of the C-contiguous data.T and
+    gp.predict's scaled copy for its triangular solve is not a transpose.
+    """
 
     data: np.ndarray
     group_offsets: np.ndarray
@@ -359,7 +369,9 @@ def _scaled_inputs(spec: KernelSpec, q: int, X: np.ndarray) -> np.ndarray:
 def compute_features(spec: KernelSpec, stacks, X: np.ndarray) -> DesignMatrix:
     """Assemble the (D_feat, n) design matrix for spec at inputs X (n, d_in).
 
-    Each stack is built once, as op = project(stack, I_{d_in}), and applied as
+    The matrix is point-major (Fortran order); each trig block is written in
+    place from the (n, m') array xi, with no transposed temporary.  Each stack
+    is built once, as op = project(stack, I_{d_in}), and applied as
     xi = xs @ op; projecting the identity adds 2 d_in^2 m' flops, d_in / n of
     the product's.
     """
@@ -373,7 +385,7 @@ def compute_features(spec: KernelSpec, stacks, X: np.ndarray) -> DesignMatrix:
     n = X.shape[0]
     m = spec.m_realized
     rpg = spec.rows_per_group
-    data = np.empty((spec.n_rows, n))
+    data = np.empty((spec.n_rows, n), order="F")
     eye = np.eye(spec.d_in)
     operators = []
     for q in range(spec.Q):
@@ -385,13 +397,13 @@ def compute_features(spec: KernelSpec, stacks, X: np.ndarray) -> DesignMatrix:
             zeta = X @ spec.component(q).mu  # (n,)
             plus = xi + zeta[:, None]
             minus = xi - zeta[:, None]
-            data[base : base + m] = np.sin(plus).T
-            data[base + m : base + 2 * m] = np.cos(plus).T
-            data[base + 2 * m : base + 3 * m] = np.sin(minus).T
-            data[base + 3 * m : base + 4 * m] = np.cos(minus).T
+            np.sin(plus, out=data[base : base + m].T)
+            np.cos(plus, out=data[base + m : base + 2 * m].T)
+            np.sin(minus, out=data[base + 2 * m : base + 3 * m].T)
+            np.cos(minus, out=data[base + 3 * m : base + 4 * m].T)
         else:
-            data[base : base + m] = np.cos(xi).T
-            data[base + m : base + 2 * m] = np.sin(xi).T
+            np.cos(xi, out=data[base : base + m].T)
+            np.sin(xi, out=data[base + m : base + 2 * m].T)
     offsets = np.arange(spec.Q + 1) * rpg
     return DesignMatrix(data=data, group_offsets=offsets, operators=tuple(operators))
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.blas import dtrsm
 
 from .errors import DimensionError, DomainError, IllConditionedError
 from .features import (
@@ -110,7 +111,10 @@ def _core(W: np.ndarray, y: np.ndarray, noise_var: float, mode: str, pieces: boo
         logdet = 2.0 * np.sum(np.log(np.diag(L)))
         quad = y @ alpha
         if pieces:
-            C = cho_solve((L, True), W.T).T
+            # C = (W L^{-T}) L^{-1}: right-side solves keep W's point-major
+            # layout, where cho_solve on W^T would transpose it twice
+            WLt = dtrsm(1.0, L, W, side=1, lower=1, trans_a=1)
+            C = dtrsm(1.0, L, WLt, side=1, lower=1, overwrite_b=1)
             u = W @ alpha
     else:
         raise DomainError(f"unknown mode {mode!r}")
@@ -170,7 +174,11 @@ def predict(state: PosteriorState, phi_star):
     """(mean, variance) per test column of phi_star.
 
     mean = phi*^T beta; var = sigma^2 (1 + ||L^{-1} V^{1/2} phi*||^2), the
-    weight-space posterior variance, so var >= sigma^2 always.
+    weight-space posterior variance, so var >= sigma^2 always.  phi_star is
+    expected point-major (Fortran order), as compute_features returns it:
+    then the scaled copy the solve overwrites is a straight copy.  It holds
+    one D x n copy of phi_star, so callers bound memory by passing column
+    blocks (TrainedModel.predict does).
     """
     data = _as_data(phi_star)
     single = data.ndim == 1
@@ -183,7 +191,8 @@ def predict(state: PosteriorState, phi_star):
     mean = data.T @ state.beta
     # Fortran order lets the solve overwrite z in place: one D x n copy, not two
     z = np.multiply(np.sqrt(state.weight_diag)[:, None], data, order="F")
-    half = solve_triangular(state.chol_factor, z, lower=True, overwrite_b=True)
+    # non-finite features propagate to the result (TrainedModel.predict checks it)
+    half = solve_triangular(state.chol_factor, z, lower=True, overwrite_b=True, check_finite=False)
     var = state.noise_var * (1.0 + np.einsum("kj,kj->j", half, half))
     return (float(mean[0]), float(var[0])) if single else (mean, var)
 
@@ -213,7 +222,11 @@ def nlml_value_and_grad(spec: KernelSpec, stacks, X, y, hyper, mode: str = "auto
     grad = np.zeros(spec.n_hypers)
     grad[0] = noise_var * (core["tr_Kinv"] - core["alpha"] @ core["alpha"])
 
-    M = np.sqrt(weight_diag)[:, None] * (core["C"] - np.outer(core["u"], core["alpha"]))
+    # M = V^{1/2} (C - u alpha^T), built in place in C's point-major layout,
+    # which feature_param_gradients reads alongside phi.data
+    M = core["C"]
+    M -= np.outer(core["alpha"], core["u"]).T
+    M *= np.sqrt(weight_diag)[:, None]
     grad[1:] = feature_param_gradients(spec_h, stacks, X, M, phi)
 
     r = core["r"]

@@ -13,13 +13,28 @@ import numpy as np
 from dataclasses import dataclass
 
 from .data import Standardization
-from .errors import DimensionError, FfgpError, ParseError
-from .features import KernelSpec, build_stacks, compute_features, feature_weight_matrix
+from .errors import DimensionError, DomainError, ParseError
+from .features import (
+    FAMILIES,
+    KernelSpec,
+    build_stacks,
+    compute_features,
+    feature_rows,
+    feature_weight_matrix,
+    hyper_count,
+)
 from .gp import PosteriorState, predict
+from .hadamard import pad_geometry
 
 MAGIC = "ffgp-model"
 FORMAT_VERSION = 1
 _POSITIVE = ("noise_var", "x_std", "y_std")  # scales; everything stored must be finite
+# Prediction runs in row blocks of at most this many design-matrix bytes, so
+# its memory is the unpacked factor (8 D^2 bytes) plus at most three blocks
+# (the features, their scaled copy and the frequencies), whatever the number
+# of rows.  Power-of-two row counts keep the results within an ulp of a
+# single-block prediction.
+_PREDICT_BLOCK_BYTES = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -42,7 +57,14 @@ class TrainedModel:
         )
 
     def predict(self, X_raw):
-        """(mean, variance) in original target units for raw-unit inputs."""
+        """(mean, variance) in original target units for raw-unit inputs.
+
+        Rows go through compute_features and gp.predict in blocks of the
+        largest power of two <= _PREDICT_BLOCK_BYTES / (8 D) rows.  Stored
+        values that are finite but extreme (a loaded file can hold any) can
+        overflow on the way; that raises DomainError instead of returning
+        inf or NaN.
+        """
         X_raw = np.asarray(X_raw, dtype=float)
         single = X_raw.ndim == 1
         if single:
@@ -51,11 +73,20 @@ class TrainedModel:
             raise DimensionError(
                 f"model expects d_in={self.spec.d_in}, got {X_raw.shape[1]} columns"
             )
-        stacks = build_stacks(self.spec, self.seed)
-        phi = compute_features(self.spec, stacks, self.standardization.apply_x(X_raw))
-        mean_s, var_s = predict(self.posterior(), phi)
-        mean = self.standardization.undo_y(mean_s)
-        var = self.standardization.undo_y_var(var_s)
+        n = X_raw.shape[0]
+        rows = 1 << max((_PREDICT_BLOCK_BYTES // (8 * self.spec.n_rows)).bit_length() - 1, 0)
+        mean_s, var_s = np.empty(n), np.empty(n)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            stacks = build_stacks(self.spec, self.seed)
+            state = self.posterior()
+            X = self.standardization.apply_x(X_raw)
+            for lo in range(0, n, rows):
+                phi = compute_features(self.spec, stacks, X[lo : lo + rows])
+                mean_s[lo : lo + rows], var_s[lo : lo + rows] = predict(state, phi)
+            mean = self.standardization.undo_y(mean_s)
+            var = self.standardization.undo_y_var(var_s)
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))):
+            raise DomainError("predictions are not finite (the model's values or the inputs overflow)")
         return (float(mean[0]), float(var[0])) if single else (mean, var)
 
 
@@ -66,12 +97,19 @@ class TrainedModel:
 #         so the byte length never varies with dataset size)
 # rest:   concatenated little-endian f8 arrays in the fixed order below;
 #         every length is derivable from the header, so no length table.
+#         The Cholesky factor is its lower triangle, row by row.
 
 
-def _array_order(spec: KernelSpec):
-    d, D = spec.d_in, spec.n_rows
+def _array_order(family: str, d: int, Q: int, m_per_group: int):
+    """(name, float count) of each payload array in file order.
+
+    Pure arithmetic on the header fields, so the loader can check a file's
+    length before it allocates anything the header asks for.
+    """
+    m = pad_geometry(d, m_per_group).m_total
+    D = feature_rows(family, Q, m)
     return (
-        ("params", spec.n_params),
+        ("params", hyper_count(family, d, Q, m) - 1),
         ("beta", D),
         ("chol", D * (D + 1) // 2),
         ("noise_var", 1),
@@ -98,19 +136,32 @@ def _header(model: TrainedModel) -> bytes:
     return header.encode("ascii")
 
 
+def _tril_rows(D: int):
+    """(row, slice of the packed triangle) for each row of a D x D lower triangle."""
+    start = 0
+    for i in range(D):
+        yield i, slice(start, start + i + 1)
+        start += i + 1
+
+
 def model_nbytes(model: TrainedModel) -> int:
     """Size in bytes of the file save_model writes for this model."""
-    return len(_header(model)) + 8 * sum(length for _, length in _array_order(model.spec))
+    spec = model.spec
+    order = _array_order(spec.family, spec.d_in, spec.Q, spec.m_per_group)
+    return len(_header(model)) + 8 * sum(length for _, length in order)
 
 
 def save_model(model: TrainedModel, path) -> None:
     spec = model.spec
-    tril = np.tril_indices(spec.n_rows)
+    L = model.chol_factor
+    packed = np.empty(spec.n_rows * (spec.n_rows + 1) // 2)
+    for i, span in _tril_rows(spec.n_rows):
+        packed[span] = L[i, : i + 1]
     std = model.standardization
     blocks = {
         "params": spec.params,
         "beta": model.beta,
-        "chol": model.chol_factor[tril],
+        "chol": packed,
         "noise_var": [model.noise_var],
         "nlml": [model.nlml],
         "x_mean": std.x_mean,
@@ -118,13 +169,10 @@ def save_model(model: TrainedModel, path) -> None:
         "y_mean": [std.y_mean],
         "y_std": [std.y_std],
     }
-    payload = b""
-    for name, length in _array_order(spec):
-        arr = np.ascontiguousarray(np.asarray(blocks[name], dtype="<f8").reshape(length))
-        payload += arr.tobytes()
     with open(path, "wb") as fh:
         fh.write(_header(model))
-        fh.write(payload)
+        for name, length in _array_order(spec.family, spec.d_in, spec.Q, spec.m_per_group):
+            fh.write(np.ascontiguousarray(np.asarray(blocks[name], dtype="<f8").reshape(length)))
 
 
 def load_model(path) -> TrainedModel:
@@ -143,20 +191,17 @@ def load_model(path) -> TrainedModel:
         meta = json.loads(raw[first + 1 : second].decode("ascii"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: bad metadata header ({exc})") from exc
-    ints = ("d_in", "Q", "m_per_group", "seed")
     n_train = meta.get("n_train") if isinstance(meta, dict) else None
     if not (
         isinstance(n_train, str) and n_train.isascii() and n_train.isdigit()
-        and isinstance(meta.get("family"), str)
-        and all(type(meta.get(k)) is int and meta[k] >= 0 for k in ints)
+        and meta.get("family") in FAMILIES
+        and all(type(meta.get(k)) is int and meta[k] >= 1 for k in ("d_in", "Q", "m_per_group"))
+        and type(meta.get("seed")) is int and meta["seed"] >= 0
     ):
-        raise ParseError(f"{path}: bad metadata header (missing or mistyped keys)")
-    try:
-        template = KernelSpec.template(meta["family"], meta["d_in"], meta["Q"], meta["m_per_group"])
-    except FfgpError as exc:
-        raise ParseError(f"{path}: bad metadata header ({exc})") from exc
+        raise ParseError(f"{path}: bad metadata header (missing, mistyped or out-of-range keys)")
 
-    order = _array_order(template)
+    fields = (meta["family"], meta["d_in"], meta["Q"], meta["m_per_group"])
+    order = _array_order(*fields)
     total = sum(length for _, length in order)
     payload = raw[second + 1 :]
     if len(payload) % 8:
@@ -173,10 +218,13 @@ def load_model(path) -> TrainedModel:
         if not np.all(np.isfinite(part)) or (name in _POSITIVE and np.any(part <= 0.0)):
             raise ParseError(f"{path}: bad {name} in payload (non-finite or out of range)")
 
-    spec = template.with_params(parts["params"])
+    spec = KernelSpec(*fields, params=parts["params"])
     D = spec.n_rows
     chol = np.zeros((D, D))
-    chol[np.tril_indices(D)] = parts["chol"]
+    for i, span in _tril_rows(D):
+        chol[i, : i + 1] = parts["chol"][span]
+    if not np.all(np.diag(chol) > 0.0):
+        raise ParseError(f"{path}: bad chol in payload (non-positive diagonal)")
     std = Standardization(
         x_mean=parts["x_mean"],
         x_std=parts["x_std"],

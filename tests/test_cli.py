@@ -1,10 +1,14 @@
 """Command-line behavior: report formats, determinism, seed plumbing, exits."""
 
+import contextlib
+import io
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffgp.cli import main
 from ffgp.data import load_csv, make_cosine, save_csv
@@ -98,6 +102,12 @@ def _set_tail_float(raw, floats_from_end, value):
     return raw[:at] + struct.pack("<d", value) + raw[at + 8 :]
 
 
+def _set_head_float(raw, index, value):
+    """Overwrite payload float `index`, counted from the start of the payload."""
+    at = raw.index(b"\n", raw.index(b"\n") + 1) + 1 + 8 * index
+    return raw[:at] + struct.pack("<d", value) + raw[at + 8 :]
+
+
 def _edit_header(raw, edit):
     magic, header, payload = raw.split(b"\n", 2)
     meta = json.loads(header)
@@ -105,7 +115,8 @@ def _edit_header(raw, edit):
     return b"\n".join([magic, json.dumps(meta).encode("ascii"), payload])
 
 
-# d_in = 1, so the payload ends noise_var, nlml, x_mean, x_std, y_mean, y_std
+# d_in = 1 and D = 16, so the payload starts log a, log ell, beta (16), chol
+# and ends noise_var, nlml, x_mean, x_std, y_mean, y_std
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -117,9 +128,17 @@ def _edit_header(raw, edit):
         lambda raw: _set_tail_float(raw, 6, float("inf")),
         lambda raw: _set_tail_float(raw, 3, float("nan")),
         lambda raw: _set_tail_float(raw, 1, float("nan")),
+        # finite values whose predictions overflow, and a singular factor
+        lambda raw: _set_head_float(raw, 0, 800.0),
+        lambda raw: _set_tail_float(raw, 1, 1e200),
+        lambda raw: _set_head_float(raw, 18, 0.0),
+        # the header alone implies a 96 TB parameter vector
+        lambda raw: _edit_header(raw, lambda meta: meta.update(family="fsgbard",
+                                                                m_per_group=4_000_000_000_000)),
     ],
     ids=["version", "partial-float", "missing-key", "str-d_in", "int-n_train",
-         "inf-noise_var", "nan-x_std", "nan-y_std"],
+         "inf-noise_var", "nan-x_std", "nan-y_std", "overflowing-amplitude",
+         "overflowing-y_std", "zero-chol-diagonal", "huge-m"],
 )
 def test_predict_rejects_corrupt_model(tmp_path, capsys, cosine_csv, feature_csv, corrupt):
     model = tmp_path / "m.bin"
@@ -130,6 +149,47 @@ def test_predict_rejects_corrupt_model(tmp_path, capsys, cosine_csv, feature_csv
     assert code == 1 and stdout == ""
     lines = stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """A small saved frbf model (d=1, m=8), a feature CSV and a scratch path."""
+    root = tmp_path_factory.mktemp("fuzz")
+    X, y = make_cosine(40, freq=1.0, noise_std=0.02, seed=0)
+    save_csv(root / "cos.csv", X, y, feature_names=["x"])
+    (root / "feats.csv").write_text("x\n" + "".join("%.17g\n" % v for v in X[:, 0]))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["train", "--data", str(root / "cos.csv"), "--kernel", "frbf", "--m", "8",
+                     "--seed", "0", "--out", str(root / "m.bin")] + FAST) == 0
+    return root / "m.bin", root / "feats.csv", root / "mutated.bin"
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_predict_survives_corrupted_model_files(fuzz_files, data):
+    model, feats, mutated = fuzz_files
+    raw = model.read_bytes()
+    header_len = raw.index(b"\n", raw.index(b"\n") + 1) + 1
+    kind = data.draw(st.sampled_from(["truncate", "header", "payload"]), label="kind")
+    if kind == "truncate":
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="cut")]
+    else:
+        lo, hi = (0, header_len) if kind == "header" else (header_len, len(raw))
+        buf = bytearray(raw)
+        for at in data.draw(st.lists(st.integers(lo, hi - 1), min_size=1, max_size=4), label="at"):
+            buf[at] ^= data.draw(st.integers(1, 255), label="xor")
+        raw = bytes(buf)
+    mutated.write_bytes(raw)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["predict", "--model", str(mutated), "--data", str(feats)])
+    assert code in (0, 1)
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert out.getvalue() == ""
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        assert "nan" not in out.getvalue() and "inf" not in out.getvalue()
 
 
 def test_eval_report_shape_and_stats(tmp_path, capsys, cosine_csv):

@@ -135,6 +135,27 @@ def test_design_matrix_group_offsets():
     assert list(phi.group_offsets) == [0, spec.rows_per_group, spec.n_rows]
 
 
+@pytest.mark.parametrize("family", ft.FAMILIES)
+def test_design_matrix_is_point_major_and_equals_transposed_writes(family):
+    spec = spec_zoo()[family]
+    stacks = ft.build_stacks(spec, 5)
+    X = np.random.default_rng(1).standard_normal((37, spec.d_in))
+    phi = ft.compute_features(spec, stacks, X)
+    assert phi.data.flags.f_contiguous
+    m, rpg = spec.m_realized, spec.rows_per_group
+    ref = np.empty((spec.n_rows, X.shape[0]))
+    for q in range(spec.Q):
+        xi = ft._scaled_inputs(spec, q, X) @ phi.operators[q]
+        if family == "gm":
+            zeta = (X @ spec.component(q).mu)[:, None]
+            blocks = [np.sin(xi + zeta), np.cos(xi + zeta), np.sin(xi - zeta), np.cos(xi - zeta)]
+        else:
+            blocks = [np.cos(xi), np.sin(xi)]
+        for k, block in enumerate(blocks):
+            ref[q * rpg + k * m : q * rpg + (k + 1) * m] = block.T
+    np.testing.assert_array_equal(phi.data, ref)
+
+
 def test_param_info_roundtrip():
     zoo = spec_zoo()
     for spec in zoo.values():

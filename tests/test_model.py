@@ -1,12 +1,16 @@
 """Model container and the versioned binary file format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import ffgp.features as ft
-from ffgp.data import fit_standardization, make_cosine, make_smooth
+import ffgp.model as model_module
+from ffgp.data import Standardization, fit_standardization, make_cosine, make_smooth
 from ffgp.errors import DimensionError, ParseError
-from ffgp.model import TrainedModel, load_model, model_nbytes, save_model
+from ffgp.gp import fit_posterior
+from ffgp.model import TrainedModel, _array_order, _header, load_model, model_nbytes, save_model
 from ffgp.train import TrainConfig, fit
 
 
@@ -55,6 +59,65 @@ def test_model_nbytes_is_the_saved_file_size(tmp_path, family):
     p = tmp_path / "m.bin"
     save_model(model, p)
     assert model_nbytes(model) == p.stat().st_size
+
+
+@pytest.mark.parametrize("family", ft.FAMILIES)
+def test_saved_file_is_header_plus_arrays_in_order(tmp_path, family):
+    model, _, _ = small_model(family=family, d=2)
+    p = tmp_path / "m.bin"
+    save_model(model, p)
+    spec, std = model.spec, model.standardization
+    arrays = {
+        "params": spec.params,
+        "beta": model.beta,
+        "chol": model.chol_factor[np.tril_indices(spec.n_rows)],
+        "noise_var": [model.noise_var],
+        "nlml": [model.nlml],
+        "x_mean": std.x_mean,
+        "x_std": std.x_std,
+        "y_mean": [std.y_mean],
+        "y_std": [std.y_std],
+    }
+    order = _array_order(spec.family, spec.d_in, spec.Q, spec.m_per_group)
+    assert [len(np.atleast_1d(arrays[name])) for name, _ in order] == [n for _, n in order]
+    want = _header(model) + b"".join(np.asarray(arrays[name], dtype="<f8").tobytes() for name, _ in order)
+    assert p.read_bytes() == want
+
+
+def test_blocked_prediction_matches_one_block(monkeypatch):
+    model, _, _ = small_model(family="fard", d=2)
+    X = make_smooth(50, d=2, seed=3)[0]
+    whole = model.predict(X)
+    rows = 16  # 50 rows make four blocks
+    monkeypatch.setattr(model_module, "_PREDICT_BLOCK_BYTES", 8 * model.spec.n_rows * rows)
+    blocked = model.predict(X)
+    np.testing.assert_allclose(blocked[0], whole[0], rtol=1e-12)
+    np.testing.assert_allclose(blocked[1], whole[1], rtol=1e-12)
+    mean, var = model.predict(X[7])
+    assert isinstance(mean, float) and isinstance(var, float)
+    np.testing.assert_allclose([mean, var], [whole[0][7], whole[1][7]], rtol=1e-12)
+
+
+def test_prediction_memory_is_set_by_the_block_not_the_rows(monkeypatch):
+    spec = ft.KernelSpec.frbf(2, 256, lengthscale=0.8)
+    D, rows, n = spec.n_rows, 64, 2048
+    X, y = make_smooth(200, d=2, seed=5)
+    weights = ft.feature_weight_matrix(spec)
+    state = fit_posterior(ft.compute_features(spec, ft.build_stacks(spec, 0), X), weights, y, 0.1)
+    model = TrainedModel(spec, 0, 0.1, 0.0, state.beta, state.chol_factor,
+                         Standardization.identity(2), 200)
+    block = 8 * D * rows
+    monkeypatch.setattr(model_module, "_PREDICT_BLOCK_BYTES", block)
+    X_test = make_smooth(n, d=2, seed=6)[0]
+    tracemalloc.start()
+    try:
+        model.predict(X_test)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one block of features, its scaled copy and the (rows, m) frequencies:
+    # about 2.5 blocks, against 32 blocks for the whole design matrix
+    assert peak < 4 * block
 
 
 def test_predict_validates_dimensions():
