@@ -1,0 +1,109 @@
+"""Per-evaluation timings of the likelihood, as one JSON line.
+
+Times one NLML-plus-gradient evaluation (median of --repeats, after one
+warm-up) for the six baseline shapes of ROADMAP.md: the standardized
+surrogate set, first 1350 rows, d=5, at the restart-0 initialization that
+`ffgp.fit` starts from.  It also times the feature-form co-matrix solve
+C = A^{-1} W on the gm 3x64 matrices (D=768) three ways: back to back,
+straight after a numpy Gram W W^T, and straight after a scipy `dsyrk`
+Gram.  numpy and scipy each bundle their own OpenBLAS with its own thread
+pool, so the second figure shows what a numpy call costs the next scipy
+call on a machine with few cores.
+
+Usage: PYTHONPATH=src python3 scripts/eval_timing.py [--repeats 7]
+"""
+
+import argparse
+import json
+import platform
+import statistics
+import time
+
+import numpy as np
+import scipy
+from scipy.linalg import cho_solve
+from scipy.linalg.blas import dsyrk
+
+import ffgp.features as ft
+from ffgp.data import fit_standardization, make_surrogate
+from ffgp.gp import chol_with_jitter, nlml_value_and_grad, weighted_features
+from ffgp.train import init_family
+
+ROWS = 1350
+# (family, Q, m per group), as in the ROADMAP baseline table
+SHAPES = (("gm", 3, 64), ("frbf", 1, 192), ("fsgbard", 1, 512),
+          ("frbf", 1, 1280), ("pwl", 5, 256), ("gm", 5, 256))
+
+
+def surrogate():
+    X, y = make_surrogate()
+    X, y = X[:ROWS], y[:ROWS]
+    std = fit_standardization(X, y)
+    return std.apply_x(X), std.apply_y(y)
+
+
+def restart0(family, Q, m, X, y, seed=0):
+    """(spec, stacks, hyper) exactly as ffgp.fit builds them for restart 0."""
+    spec = ft.KernelSpec.template(family, X.shape[1], Q, m)
+    stacks = ft.build_stacks(spec, seed)
+    if family == "fsgbard":
+        spec = ft.KernelSpec.fsgbard_from_stacks(X.shape[1], Q, m, np.ones(X.shape[1]), stacks)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 1000)))
+    return spec, stacks, init_family(spec, X, y, rng, explore=0.0, restart=0)
+
+
+def median_ms(fn, repeats, before=None):
+    """Median wall time of fn() in ms; before() runs untimed ahead of each call."""
+    fn()
+    times = []
+    for _ in range(repeats):
+        if before is not None:
+            before()
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return round(1000.0 * statistics.median(times), 1)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--repeats", type=int, default=7)
+    args = parser.parse_args()
+    X, y = surrogate()
+
+    evals = {}
+    for family, Q, m in SHAPES:
+        spec, stacks, h = restart0(family, Q, m, X, y)
+        evals[f"{family} {Q}x{m}"] = {
+            "D": spec.n_rows,
+            "form": "feature" if spec.n_rows < ROWS else "data",
+            "ms": median_ms(lambda: nlml_value_and_grad(spec, stacks, X, y, h), args.repeats),
+        }
+
+    spec, stacks, h = restart0("gm", 3, 64, X, y)
+    spec_h, log_noise = ft.unpack_hyper(spec, h)
+    noise_var = float(np.exp(2.0 * log_noise))
+    W = weighted_features(ft.compute_features(spec_h, stacks, X), ft.feature_weight_matrix(spec_h))
+    L, _ = chol_with_jitter(noise_var * np.eye(W.shape[0]) + W @ W.T)
+
+    def solve():
+        cho_solve((L, True), W, check_finite=False)
+
+    cho = {
+        "back_to_back": median_ms(solve, args.repeats),
+        "after_numpy_gram": median_ms(solve, args.repeats, before=lambda: W @ W.T),
+        "after_dsyrk": median_ms(solve, args.repeats, before=lambda: dsyrk(1.0, W, lower=1)),
+    }
+    print(json.dumps({
+        "rows": ROWS,
+        "repeats": args.repeats,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "eval_ms": evals,
+        "cho_solve_gm_3x64_ms": cho,
+    }))
+
+
+if __name__ == "__main__":
+    main()

@@ -16,6 +16,16 @@ triangular inverse is ever formed.  The posterior keeps
 beta = V^{1/2} A^{-1} W y plus the Cholesky factor of A, which is all the
 state prediction needs: mean = phi*^T beta and
 var = sigma^2 (1 + ||L^{-1} V^{1/2} phi*||^2).
+
+Dense algebra in the likelihood core runs in scipy's BLAS: the Grams are
+`dsyrk` (lower triangle only, which is all the Cholesky reads), the
+mat-vecs `dgemv`, and the factor and solves scipy's LAPACK.  numpy and
+scipy each bundle their own OpenBLAS with its own thread pool; a numpy
+product between two scipy calls leaves numpy's threads spinning on the
+cores the next scipy call needs (on 2 cores the co-matrix solve took 77 ms
+straight after a numpy Gram against 37 ms after a `dsyrk` one).  The
+features are checked finite once, in weighted_features, so the LAPACK
+calls behind it skip their own scans.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.linalg.blas import dtrsm
+from scipy.linalg.blas import dgemv, dsyrk, dtrsm
 
 from .errors import DimensionError, DomainError, IllConditionedError
 from .features import (
@@ -44,14 +54,15 @@ def _as_data(phi) -> np.ndarray:
 def chol_with_jitter(a: np.ndarray):
     """Lower Cholesky factor with escalating diagonal jitter.
 
-    Starts at 1e-10 * trace/dim and multiplies by 10 up to 1e-4 * trace
-    before giving up.  Returns (L, jitter_used).
+    Reads only the lower triangle of a, which must be finite (it is not
+    scanned).  Starts at 1e-10 * trace/dim and multiplies by 10 up to
+    1e-4 * trace before giving up.  Returns (L, jitter_used).
     """
     dim = a.shape[0]
     if dim == 0:
         return np.zeros((0, 0)), 0.0
     try:
-        return cholesky(a, lower=True), 0.0
+        return cholesky(a, lower=True, check_finite=False), 0.0
     except np.linalg.LinAlgError:
         pass
     trace = float(np.trace(a))
@@ -61,28 +72,38 @@ def chol_with_jitter(a: np.ndarray):
     eye = np.eye(dim)
     while jitter <= cap:
         try:
-            return cholesky(a + jitter * eye, lower=True), jitter
+            return cholesky(a + jitter * eye, lower=True, check_finite=False), jitter
         except np.linalg.LinAlgError:
             jitter *= 10.0
     raise IllConditionedError(f"Cholesky failed after jitter escalation to {cap:g}")
 
 
 def weighted_features(phi, weight_diag: np.ndarray) -> np.ndarray:
-    """W = V^{1/2} Phi."""
+    """W = V^{1/2} Phi; DomainError unless every entry is finite."""
     data = _as_data(phi)
     w = np.asarray(weight_diag, dtype=float)
     if w.shape != (data.shape[0],):
         raise DimensionError(f"weight_diag must have length {data.shape[0]}, got {w.shape}")
     if np.any(w < 0):
         raise DomainError("weight_diag entries must be nonnegative")
-    return np.sqrt(w)[:, None] * data
+    W = np.sqrt(w)[:, None] * data
+    if not np.all(np.isfinite(W)):
+        raise DomainError("weighted features are not finite")
+    return W
+
+
+def _gram(W: np.ndarray, noise_var: float, trans: int) -> np.ndarray:
+    """Lower triangle of W W^T (trans=0) or W^T W (trans=1) plus sigma^2 I."""
+    G = dsyrk(1.0, W, lower=1, trans=trans)
+    G[np.diag_indices_from(G)] += noise_var
+    return G
 
 
 def _feature_solve(W: np.ndarray, y: np.ndarray, noise_var: float):
     """Factor A = sigma^2 I_D + W W^T: returns (L, W y, u = A^{-1} W y)."""
-    L, _ = chol_with_jitter(noise_var * np.eye(W.shape[0]) + W @ W.T)
-    Wy = W @ y
-    return L, Wy, cho_solve((L, True), Wy)
+    L, _ = chol_with_jitter(_gram(W, noise_var, trans=0))
+    Wy = dgemv(1.0, W, y)
+    return L, Wy, cho_solve((L, True), Wy, check_finite=False)
 
 
 def _core(W: np.ndarray, y: np.ndarray, noise_var: float, mode: str, pieces: bool):
@@ -103,11 +124,11 @@ def _core(W: np.ndarray, y: np.ndarray, noise_var: float, mode: str, pieces: boo
         logdet = 2.0 * np.sum(np.log(np.diag(L))) + (n - D) * np.log(noise_var)
         quad = (y @ y - Wy @ u) / noise_var
         if pieces:
-            C = cho_solve((L, True), W)
-            alpha = (y - W.T @ u) / noise_var
+            C = cho_solve((L, True), W, check_finite=False)
+            alpha = (y - dgemv(1.0, W, u, trans=1)) / noise_var
     elif mode == "data":
-        L, _ = chol_with_jitter(W.T @ W + noise_var * np.eye(n))
-        alpha = cho_solve((L, True), y)
+        L, _ = chol_with_jitter(_gram(W, noise_var, trans=1))
+        alpha = cho_solve((L, True), y, check_finite=False)
         logdet = 2.0 * np.sum(np.log(np.diag(L)))
         quad = y @ alpha
         if pieces:
@@ -115,7 +136,7 @@ def _core(W: np.ndarray, y: np.ndarray, noise_var: float, mode: str, pieces: boo
             # layout, where cho_solve on W^T would transpose it twice
             WLt = dtrsm(1.0, L, W, side=1, lower=1, trans_a=1)
             C = dtrsm(1.0, L, WLt, side=1, lower=1, overwrite_b=1)
-            u = W @ alpha
+            u = dgemv(1.0, W, alpha)
     else:
         raise DomainError(f"unknown mode {mode!r}")
     out = {"f": 0.5 * (n * np.log(2.0 * np.pi) + logdet + quad)}

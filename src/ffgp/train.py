@@ -224,7 +224,9 @@ def _make_objective(spec, stacks, X, y):
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 f, g = nlml_value_and_grad(spec, stacks, X, y, h)
-        except (IllConditionedError, FloatingPointError, np.linalg.LinAlgError):
+        except (IllConditionedError, DomainError, FloatingPointError, np.linalg.LinAlgError):
+            # DomainError: non-finite features, or a spectrum parameter out
+            # of its domain (a hat width that underflowed to 0)
             return np.inf, np.zeros(n_hyper)
         if not (np.isfinite(f) and np.all(np.isfinite(g))):
             return np.inf, np.zeros(n_hyper)

@@ -9,7 +9,7 @@ from scipy.linalg import solve_triangular
 
 import ffgp.fastfood as ff
 import ffgp.features as ft
-from ffgp.errors import DimensionError, DomainError, IllConditionedError
+from ffgp.errors import DimensionError, DomainError, FfgpError, IllConditionedError
 from ffgp.gp import (
     _core,
     chol_with_jitter,
@@ -141,12 +141,17 @@ def test_chol_jitter_recovers_singular_psd():
     L, jitter = chol_with_jitter(a)
     assert jitter > 0
     np.testing.assert_allclose(L @ L.T, a + jitter * np.eye(4), rtol=0, atol=1e-12)
+    # the core passes dsyrk Grams, whose upper triangle is never written
+    L_lower, jitter_lower = chol_with_jitter(np.tril(a))
+    assert jitter_lower == jitter
+    np.testing.assert_array_equal(L_lower, L)
 
 
 def test_chol_jitter_gives_up_on_indefinite():
     a = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1; jitter cap 2e-4 hopeless
-    with pytest.raises(IllConditionedError):
-        chol_with_jitter(a)
+    for given in (a, np.tril(a)):
+        with pytest.raises(IllConditionedError):
+            chol_with_jitter(given)
 
 
 def test_chol_jitter_empty():
@@ -168,6 +173,15 @@ def test_validation_errors():
         neg_log_marginal_likelihood(phi, v, y, 0.1, mode="dual")
     with pytest.raises(DomainError):
         fit_posterior(phi, v, y, -1.0)
+    bad = phi.copy()
+    bad[2, 3] = np.nan
+    for mode in ("feature", "data"):
+        with pytest.raises(FfgpError):
+            neg_log_marginal_likelihood(bad, v, y, 0.1, mode=mode)
+    with pytest.raises(FfgpError):
+        fit_posterior(bad, v, y, 0.1)
+    with pytest.raises(FfgpError):
+        neg_log_marginal_likelihood(phi, np.full_like(v, np.inf), y, 0.1)
     state = fit_posterior(phi, v, y, 0.1)
     with pytest.raises(DimensionError):
         predict(state, np.zeros((6, 3)))

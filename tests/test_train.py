@@ -18,6 +18,7 @@ from ffgp.model import load_model, save_model
 from ffgp.train import (
     QUANTILE_LEVELS,
     TrainConfig,
+    _make_objective,
     fit,
     init_ard,
     init_family,
@@ -206,6 +207,35 @@ def test_all_restarts_diverging_raises(monkeypatch):
         fit(spec, X, y, config)
     assert err.value.best_value == np.inf
     assert err.value.best_hyper.shape == (spec.n_hypers,)
+
+
+@pytest.mark.parametrize("family", ft.FAMILIES)
+def test_objective_maps_extreme_hypers_to_inf(family):
+    # each coordinate in turn at 800, -800 and NaN: exp() of it overflows or
+    # underflows, so weights, features or a spectrum go non-finite or out of
+    # domain.  The objective answers (inf, zeros) there, or a finite pair
+    # where the value is harmless, and never raises; NaN anywhere is inf.
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((30, 2))
+    y = np.sin(X[:, 0])
+    Q = 1 if family in ("frbf", "fard") else 2
+    spec = ft.KernelSpec.template(family, 2, Q, 8)
+    stacks = ft.build_stacks(spec, 0)
+    if family == "fsgbard":
+        spec = ft.KernelSpec.fsgbard_from_stacks(2, Q, 8, np.ones(2), stacks)
+    objective = _make_objective(spec, stacks, X, y)
+    h0 = init_family(spec, X, y, np.random.default_rng(1))
+    zeros = np.zeros(spec.n_hypers)
+    for i in range(spec.n_hypers):
+        for value in (800.0, -800.0, np.nan):
+            h = h0.copy()
+            h[i] = value
+            f, g = objective(h)
+            if np.isnan(value) or not np.isfinite(f):
+                assert f == np.inf, (i, value)
+                np.testing.assert_array_equal(g, zeros)
+            else:
+                assert np.all(np.isfinite(g)), (i, value)
 
 
 def test_fit_roundtrips_through_file(tmp_path):
