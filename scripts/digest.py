@@ -1,0 +1,67 @@
+"""One sha256 per kernel family over the numbers a refactor must not move.
+
+On a fixed small problem (the standardized surrogate set, first 200 rows,
+d=5) each family's digest hashes: the `init_family` hyper vectors of three
+restarts, the NLML and gradient at each, `param_info` for every packed index,
+`weight_param_info`, and the bytes of a model saved after a short `fit`.
+Two source trees that print the same lines compute the same numbers bit for
+bit, so a change meant to keep behaviour can show it by running this script
+on both.
+
+Usage: PYTHONPATH=src python3 scripts/digest.py
+"""
+
+import hashlib
+import os
+import tempfile
+
+import numpy as np
+
+import ffgp.features as ft
+from ffgp.data import fit_standardization, make_surrogate
+from ffgp.gp import nlml_value_and_grad
+from ffgp.model import save_model
+from ffgp.train import TrainConfig, fit, init_family
+
+ROWS = 200
+RESTARTS = 3
+# (family, Q, m per group); d=5 pads to 8, so m=16 spans two Fastfood blocks
+SHAPES = (("frbf", 1, 16), ("fard", 1, 16), ("fsard", 2, 16),
+          ("fsgbard", 2, 16), ("gm", 2, 16), ("pwl", 2, 16))
+CONFIG = TrainConfig(max_iters=3, restart_count=2, restart_iters=2, seed=0)
+
+
+def family_digest(family, Q, m, X, y, std) -> str:
+    h = hashlib.sha256()
+    spec = ft.KernelSpec.template(family, X.shape[1], Q, m)
+    stacks = ft.build_stacks(spec, CONFIG.seed)
+    if family == "fsgbard":
+        spec = ft.KernelSpec.fsgbard_from_stacks(X.shape[1], Q, m, np.ones(X.shape[1]), stacks)
+    for r in range(RESTARTS):
+        rng = np.random.default_rng(np.random.SeedSequence((CONFIG.seed, 1000 + r)))
+        h0 = init_family(spec, X, y, rng, explore=r / (RESTARTS - 1), restart=r)
+        f, g = nlml_value_and_grad(spec, stacks, X, y, h0)
+        for arr in (h0, np.array([f]), g):
+            h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    h.update(repr([ft.param_info(spec, i) for i in range(spec.n_params)]).encode())
+    h.update(repr(spec.weight_param_info()).encode())
+    model, _ = fit(spec, X, y, CONFIG, standardization=std)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.bin")
+        save_model(model, path)
+        with open(path, "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()
+
+
+def main():
+    X, y = make_surrogate()
+    X, y = X[:ROWS], y[:ROWS]
+    std = fit_standardization(X, y)
+    X, y = std.apply_x(X), std.apply_y(y)
+    for family, Q, m in SHAPES:
+        print(f"{family}\t{family_digest(family, Q, m, X, y, std)}")
+
+
+if __name__ == "__main__":
+    main()

@@ -160,7 +160,7 @@ def _eval_report(results):
     lines.append(f"mean\t{mean:.6f}")
     lines.append(f"std\t{std:.6f}")
     lines.append(f"summary\t{mean:.6f} ± {std:.6f}")
-    return "\n".join(lines) + "\n", mean, std
+    return "\n".join(lines) + "\n"
 
 
 def cmd_eval(args, parser):
@@ -173,7 +173,7 @@ def cmd_eval(args, parser):
     results = _run_folds(template, ds, args.folds, config, args.jobs)
     for i, (_, _, ts, ps) in enumerate(results):
         print(f"fold {i + 1} train_s={ts:.2f} predict_s={ps:.2f}", file=sys.stderr)
-    report, _, _ = _eval_report(results)
+    report = _eval_report(results)
     sys.stdout.write(report)
     if args.out:
         with open(args.out, "w") as fh:

@@ -1,16 +1,9 @@
 """Design matrices for the six kernel families, with exact feature derivatives.
 
-Families and their packed hyperparameter layouts (noise log-std always first in
-the full hyper vector; everything below is the feature-parameter block):
-
-    frbf     [log a, log ell]
-    fard     [log a, log ell_1..d]
-    fsard    [log a, log ell_1..d, per group q: log s-multiplier (m')]
-    fsgbard  [log a, log ell_1..d, per group q: log s-mult (m'), g raw (m'), b raw (m')]
-    gm       per group q: [log v_q, mu_q raw (d), log sigma_diag_q (d)]
-    pwl      per group q: [log v_q, log ell_q (d), log hat-mu_q, log hat-sigma_q]
-
-Counts including noise: 3, d+2, Qm'+d+2, 3Qm'+d+2, Q(2d+1)+1, Q(d+3)+1.
+_LAYOUTS below is the one statement of each family's packed feature
+parameters (the noise log-std goes first in the full hyper vector, ahead of
+them): counts, offsets, the accessors, param_info and the gradient slots all
+read it.
 
 Positive parameters live in log space.  GM means, and the G/B diagonals of the
 relaxed family, are raw (G and B are signed: G is a normal draw and B a
@@ -37,24 +30,38 @@ from .fastfood import project_transpose  # noqa: F401  unused; perfbench/tracer.
 from .hadamard import PadGeometry, fwht_inplace, pad_geometry
 from .spectra import GmComponent, HatSpectrum, hat_radii, hat_unit_quantile
 
-FAMILIES = ("frbf", "fard", "fsard", "fsgbard", "gm", "pwl")
+# Each family's packed params: its shared fields, then one block of per-group
+# fields for each of the Q groups.  A field is (kind, length): kind is the
+# name param_info reports, length is "d" (d_in entries), "m" (m' entries), 1,
+# or None for a scalar, whose param_info coordinate is None.
+_LAYOUTS = {
+    "frbf": ((("log_a", None), ("log_ell", 1)), ()),
+    "fard": ((("log_a", None), ("log_ell", "d")), ()),
+    "fsard": ((("log_a", None), ("log_ell", "d")), (("s_mult", "m"),)),
+    "fsgbard": ((("log_a", None), ("log_ell", "d")), (("s_mult", "m"), ("g", "m"), ("b", "m"))),
+    "gm": ((), (("log_v", None), ("mu", "d"), ("log_sd", "d"))),
+    "pwl": ((), (("log_v", None), ("log_ell", "d"), ("hat_mu", None), ("hat_sigma", None))),
+}
+FAMILIES = tuple(_LAYOUTS)
+
+
+def _field_size(length, d_in: int, m_realized: int) -> int:
+    return {None: 1, 1: 1, "d": d_in, "m": m_realized}[length]
 
 
 def hyper_count(family: str, d_in: int, Q: int, m_realized: int) -> int:
-    """Total hyperparameter count for a family, noise included."""
-    if family == "frbf":
-        return 3
-    if family == "fard":
-        return d_in + 2
-    if family == "fsard":
-        return Q * m_realized + d_in + 2
-    if family == "fsgbard":
-        return 3 * Q * m_realized + d_in + 2
-    if family == "gm":
-        return Q * (2 * d_in + 1) + 1
-    if family == "pwl":
-        return Q * (d_in + 3) + 1
-    raise DomainError(f"unknown family {family!r}")
+    """Total hyperparameter count for a family, noise included.
+
+    Arithmetic on the table, never a walk over the Q groups, so the model
+    loader can size a file from an untrusted header.
+    """
+    if family not in _LAYOUTS:
+        raise DomainError(f"unknown family {family!r}")
+    shared, per_group = (
+        sum(_field_size(length, d_in, m_realized) for _, length in fields)
+        for fields in _LAYOUTS[family]
+    )
+    return 1 + shared + Q * per_group
 
 
 def feature_rows(family: str, Q: int, m_realized: int) -> int:
@@ -66,10 +73,10 @@ def feature_rows(family: str, Q: int, m_realized: int) -> int:
 class KernelSpec:
     """One kernel family instance: structure plus packed feature parameters.
 
-    params holds every feature/weight hyperparameter except the noise scale
-    (layouts in the module docstring).  The packed array is the source of
-    truth; the natural-space accessors below just slice and exponentiate, so
-    packing and unpacking never round-trips through exp/log.
+    params holds every feature/weight hyperparameter except the noise scale,
+    laid out as _LAYOUTS says.  The packed array is the source of truth; the
+    natural-space accessors below just slice and exponentiate, so packing
+    and unpacking never round-trips through exp/log.
     """
 
     family: str
@@ -121,55 +128,55 @@ class KernelSpec:
 
     # ---- packed layout helpers -----------------------------------------
 
-    def _group_base(self, q: int) -> int:
-        d, m = self.d_in, self.m_realized
-        if self.family == "gm":
-            return q * (2 * d + 1)
-        if self.family == "pwl":
-            return q * (d + 3)
-        if self.family == "fsard":
-            return 1 + d + q * m
-        if self.family == "fsgbard":
-            return 1 + d + q * 3 * m
-        raise DomainError(f"{self.family} has no per-group blocks")
+    def _slots(self) -> list:
+        """(kind, group, start, length) of every packed field, in order.
+
+        group None marks a shared field; length is None for a scalar field,
+        which takes one entry.
+        """
+        shared, per_group = _LAYOUTS[self.family]
+        slots, start = [], 0
+        for group, fields in [(None, shared)] + [(q, per_group) for q in range(self.Q)]:
+            for kind, length in fields:
+                size = _field_size(length, self.d_in, self.m_realized)
+                slots.append((kind, group, start, None if length is None else size))
+                start += size
+        return slots
+
+    def field(self, kind: str, q=None) -> np.ndarray:
+        """View of the packed entries of field `kind` (group q; None for a
+        shared field).  A scalar field is a view of length 1.  Writing the
+        view writes params."""
+        for name, group, start, length in self._slots():
+            if name == kind and group == q:
+                return self.params[start : start + (1 if length is None else length)]
+        raise DomainError(f"{self.family} has no field {kind!r} for group {q}")
 
     # ---- natural-space accessors ---------------------------------------
 
     @property
     def amplitude(self) -> float:
-        if self.family in ("frbf", "fard", "fsard", "fsgbard"):
-            return float(np.exp(self.params[0]))
-        raise DomainError(f"{self.family} has per-group weights, not one amplitude")
+        return float(np.exp(self.field("log_a")[0]))
 
     @property
     def lengthscales(self) -> np.ndarray:
-        if self.family == "frbf":
-            return np.exp(self.params[1]) * np.ones(self.d_in)
-        if self.family in ("fard", "fsard", "fsgbard"):
-            return np.exp(self.params[1 : 1 + self.d_in])
-        raise DomainError(f"{self.family} has no shared lengthscales")
+        # frbf stores one lengthscale for every input
+        return np.exp(self.field("log_ell")) * np.ones(self.d_in)
 
     def s_multipliers(self, q: int) -> np.ndarray:
-        base = self._group_base(q)
-        return self.params[base : base + self.m_realized]
+        return self.field("s_mult", q)
 
     def g_raw(self, q: int) -> np.ndarray:
-        m = self.m_realized
-        base = self._group_base(q)
-        return self.params[base + m : base + 2 * m]
+        return self.field("g", q)
 
     def b_raw(self, q: int) -> np.ndarray:
-        m = self.m_realized
-        base = self._group_base(q)
-        return self.params[base + 2 * m : base + 3 * m]
+        return self.field("b", q)
 
     def component(self, q: int) -> GmComponent:
-        d = self.d_in
-        base = self._group_base(q)
         return GmComponent(
-            mu=self.params[base + 1 : base + 1 + d].copy(),
-            sigma_diag=np.exp(self.params[base + 1 + d : base + 1 + 2 * d]),
-            weight=float(np.exp(self.params[base])),
+            mu=self.field("mu", q).copy(),
+            sigma_diag=np.exp(self.field("log_sd", q)),
+            weight=float(np.exp(self.field("log_v", q)[0])),
         )
 
     @property
@@ -177,33 +184,31 @@ class KernelSpec:
         return [self.component(q) for q in range(self.Q)]
 
     def hat(self, q: int) -> HatSpectrum:
-        base = self._group_base(q)
-        d = self.d_in
         return HatSpectrum(
-            mu=float(np.exp(self.params[base + 1 + d])),
-            sigma=float(np.exp(self.params[base + 2 + d])),
+            mu=float(np.exp(self.field("hat_mu", q)[0])),
+            sigma=float(np.exp(self.field("hat_sigma", q)[0])),
         )
 
     def group_lengthscales(self, q: int) -> np.ndarray:
-        base = self._group_base(q)
-        return np.exp(self.params[base + 1 : base + 1 + self.d_in])
+        return np.exp(self.field("log_ell", q))
 
     def group_weights(self) -> np.ndarray:
         """v_q per group; the single F-family amplitude splits as a/sqrt(Q)."""
-        if self.family in ("gm", "pwl"):
-            return np.array(
-                [np.exp(self.params[self._group_base(q)]) for q in range(self.Q)]
-            )
-        return np.full(self.Q, self.amplitude / np.sqrt(self.Q))
+        info = self.weight_param_info()
+        if info[0][1] is None:  # one amplitude shared by every group
+            return np.full(self.Q, self.amplitude / np.sqrt(self.Q))
+        return np.array([np.exp(self.params[index]) for index, _ in info])
 
     def weight_param_info(self) -> list:
         """(param_index, group) pairs for weight-only parameters.
 
         group None means the parameter scales every group (shared amplitude).
         """
-        if self.family in ("gm", "pwl"):
-            return [(self._group_base(q), q) for q in range(self.Q)]
-        return [(0, None)]
+        return [
+            (start, group)
+            for kind, group, start, _ in self._slots()
+            if kind in ("log_a", "log_v")
+        ]
 
     def with_params(self, params: np.ndarray) -> "KernelSpec":
         return replace(self, params=np.asarray(params, dtype=float))
@@ -333,7 +338,6 @@ class DesignMatrix:
     """
 
     data: np.ndarray
-    group_offsets: np.ndarray
     operators: tuple = ()
 
 
@@ -404,8 +408,7 @@ def compute_features(spec: KernelSpec, stacks, X: np.ndarray) -> DesignMatrix:
         else:
             np.cos(xi, out=data[base : base + m].T)
             np.sin(xi, out=data[base + m : base + 2 * m].T)
-    offsets = np.arange(spec.Q + 1) * rpg
-    return DesignMatrix(data=data, group_offsets=offsets, operators=tuple(operators))
+    return DesignMatrix(data=data, operators=tuple(operators))
 
 
 def feature_weight_matrix(spec: KernelSpec) -> np.ndarray:
@@ -427,33 +430,9 @@ def param_info(spec: KernelSpec, index: int):
     """Classify packed parameter `index` -> (kind, group, coordinate)."""
     if not (0 <= index < spec.n_params):
         raise DomainError(f"param index {index} out of range [0, {spec.n_params})")
-    d, m = spec.d_in, spec.m_realized
-    fam = spec.family
-    if fam in ("frbf", "fard", "fsard", "fsgbard"):
-        if index == 0:
-            return ("log_a", None, None)
-        n_ell = 1 if fam == "frbf" else d
-        if index < 1 + n_ell:
-            return ("log_ell", None, index - 1)
-        rel = index - 1 - n_ell
-        if fam == "fsard":
-            return ("s_mult", rel // m, rel % m)
-        q, within = divmod(rel, 3 * m)
-        kind = ("s_mult", "g", "b")[within // m]
-        return (kind, q, within % m)
-    if fam == "gm":
-        q, within = divmod(index, 2 * d + 1)
-        if within == 0:
-            return ("log_v", q, None)
-        if within <= d:
-            return ("mu", q, within - 1)
-        return ("log_sd", q, within - 1 - d)
-    q, within = divmod(index, d + 3)
-    if within == 0:
-        return ("log_v", q, None)
-    if within <= d:
-        return ("log_ell", q, within - 1)
-    return ("hat_mu", q, None) if within == d + 1 else ("hat_sigma", q, None)
+    for kind, group, start, length in spec._slots():
+        if index < start + (1 if length is None else length):
+            return (kind, group, None if length is None else index - start)
 
 
 def feature_param_gradients(
@@ -475,13 +454,13 @@ def feature_param_gradients(
     n, d_in, m = X.shape[0], spec.d_in, spec.m_realized
     rpg = spec.rows_per_group
     grad = np.zeros(spec.n_params)
+    slot = spec.with_params(grad).field  # views into grad, laid out as params
     fam = spec.family
 
     for q in range(spec.Q):
         base = q * rpg
         op = phi.operators[q]
         xs = _scaled_inputs(spec, q, X)
-        gbase = 0 if fam in ("frbf", "fard") else spec._group_base(q)
 
         if fam == "gm":
             sin_p, cos_p, sin_m, cos_m = phi.data[base : base + rpg].reshape(4, m, n)
@@ -489,10 +468,10 @@ def feature_param_gradients(
             t_plus = (Msp * cos_p - Mcp * sin_p).T  # (n, m)
             t_minus = (Msm * cos_m - Mcm * sin_m).T
             # mu_q: dP = +x_j, dM = -x_j
-            grad[gbase + 1 : gbase + 1 + d_in] = X.T @ (t_plus - t_minus).sum(axis=1)
+            slot("mu", q)[:] = X.T @ (t_plus - t_minus).sum(axis=1)
             # log sigma_diag: dxs_j = +xs_j
             Cop = (xs.T @ (t_plus + t_minus)) * op
-            grad[gbase + 1 + d_in : gbase + 1 + 2 * d_in] = Cop.sum(axis=1)
+            slot("log_sd", q)[:] = Cop.sum(axis=1)
             continue
 
         cos_rows, sin_rows = phi.data[base : base + rpg].reshape(2, m, n)
@@ -506,25 +485,24 @@ def feature_param_gradients(
             hat = spec.hat(q)
             r = hat_radii(hat.mu, hat.sigma, u)
             txi = Cop.sum(axis=0)  # sum_n T * xi
-            grad[gbase + 1 : gbase + 1 + d_in] = -Cop.sum(axis=1)
-            grad[gbase + 1 + d_in] = float(np.sum(txi * (hat.mu / r)))
-            grad[gbase + 2 + d_in] = float(np.sum(txi * (hat.sigma * hat_unit_quantile(u) / r)))
+            slot("log_ell", q)[:] = -Cop.sum(axis=1)
+            slot("hat_mu", q)[:] = float(np.sum(txi * (hat.mu / r)))
+            slot("hat_sigma", q)[:] = float(np.sum(txi * (hat.sigma * hat_unit_quantile(u) / r)))
             continue
 
         # F families: the log-lengthscales are shared by every group
         per_dim = -Cop.sum(axis=1)
-        if fam == "frbf":
-            grad[1] += per_dim.sum()
-        else:
-            grad[1 : 1 + d_in] += per_dim
+        ell = slot("log_ell")
+        ell += per_dim.sum() if ell.size == 1 else per_dim  # frbf: one shared lengthscale
         if fam in ("fsard", "fsgbard"):
-            grad[gbase : gbase + m] = Cop.sum(axis=0)
+            slot("s_mult", q)[:] = Cop.sum(axis=0)
         if fam == "fsgbard":
             stack = stacks[q]
             geo = stack.geometry
             s_eff, g_eff, b_eff = _group_overrides(spec, stacks, q)
             d = geo.d_pad
             scale = 1.0 / np.sqrt(d)
+            g_grad, b_grad = slot("g", q), slot("b", q)
             for blk in range(geo.blocks):
                 lo = blk * d
                 ct = C[:, lo : lo + d] * (s_eff[lo : lo + d] * scale)
@@ -532,10 +510,10 @@ def feature_param_gradients(
                 v = np.eye(d_in, d) * b_eff[lo : lo + d]
                 fwht_inplace(v)
                 w3 = v[:, stack.perms[blk]]  # post-permutation intermediate
-                grad[gbase + m + lo : gbase + m + lo + d] = np.einsum("jk,jk->k", w3, ct)
+                g_grad[lo : lo + d] = np.einsum("jk,jk->k", w3, ct)
                 w2 = np.empty_like(ct)
                 w2[:, stack.perms[blk]] = ct * g_eff[lo : lo + d]
                 fwht_inplace(w2)  # w2 = L^T C for this block (no b)
                 # padded inputs are zero, so only the first d_in B entries move
-                grad[gbase + 2 * m + lo : gbase + 2 * m + lo + d_in] = w2.diagonal()
+                b_grad[lo : lo + d_in] = w2.diagonal()
     return grad

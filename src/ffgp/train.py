@@ -162,15 +162,11 @@ def init_family(spec, X, y, rng, explore: float = 0.0, restart: int = 0) -> np.n
         else:
             # keep the sampled G and B carried by the incoming spec so the
             # initial point reproduces FARD features exactly
-            blocks = []
+            out = spec.with_params(spec.params.copy())
+            out.field("log_a")[:] = math.log(sy)
+            out.field("log_ell")[:] = np.log(ell)
             for q in range(Q):
-                blocks += [
-                    np.zeros(spec.m_realized),
-                    spec.g_raw(q).copy(),
-                    spec.b_raw(q).copy(),
-                ]
-            params = np.concatenate([[math.log(sy)], np.log(ell)] + blocks)
-            out = spec.with_params(params)
+                out.field("s_mult", q)[:] = 0.0
     elif family == "gm":
         dists = sample_pair_distances(X, rng)
         med = float(np.quantile(dists, 0.5))
@@ -274,8 +270,6 @@ def fit(spec, X, y, config: TrainConfig, standardization=None):
     for r in range(n_restarts):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1000 + r)))
         explore = 0.0 if n_restarts == 1 else r / (n_restarts - 1)
-        if r == 0:
-            explore = 0.0
         h0 = init_family(spec, X, y, rng, explore=explore, restart=r)
         if config.restart_iters == 0:
             f0, _ = objective(h0)

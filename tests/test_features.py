@@ -48,10 +48,7 @@ def test_hyper_counts():
     for fam, n in want.items():
         assert ft.hyper_count(fam, d, Q, m) == n
         spec = ft.KernelSpec.template(fam, d, Q if fam not in ("frbf", "fard") else 1, mpg)
-        if fam in ("frbf", "fard"):
-            assert spec.n_hypers == n
-        else:
-            assert spec.n_hypers == n
+        assert spec.n_hypers == n
 
 
 def test_rows_per_group():
@@ -126,15 +123,6 @@ def test_gm_gram_converges_to_closed_form():
     assert np.abs(G - K).mean() < 0.05
 
 
-def test_design_matrix_group_offsets():
-    spec = spec_zoo()["pwl"]
-    stacks = ft.build_stacks(spec, 3)
-    X = np.random.default_rng(0).standard_normal((5, 2))
-    phi = ft.compute_features(spec, stacks, X)
-    assert phi.data.shape == (spec.n_rows, 5)
-    assert list(phi.group_offsets) == [0, spec.rows_per_group, spec.n_rows]
-
-
 @pytest.mark.parametrize("family", ft.FAMILIES)
 def test_design_matrix_is_point_major_and_equals_transposed_writes(family):
     spec = spec_zoo()[family]
@@ -156,18 +144,96 @@ def test_design_matrix_is_point_major_and_equals_transposed_writes(family):
     np.testing.assert_array_equal(phi.data, ref)
 
 
-def test_param_info_roundtrip():
+def natural_params(spec):
+    """Every accessor value, keyed by the (kind, group, coordinate) that
+    param_info reports for the packed entry it is read from."""
+    fam, d = spec.family, spec.d_in
+    out = {}
+    if fam in ("frbf", "fard", "fsard", "fsgbard"):
+        out[("log_a", None, None)] = spec.amplitude
+        ell = spec.lengthscales
+        assert ell.shape == (d,)
+        if fam == "frbf":
+            assert np.all(ell == ell[0])  # one shared lengthscale
+        for j in range(1 if fam == "frbf" else d):
+            out[("log_ell", None, j)] = ell[j]
+        for q in range(spec.Q if fam in ("fsard", "fsgbard") else 0):
+            slots = [("s_mult", spec.s_multipliers(q))]
+            if fam == "fsgbard":
+                slots += [("g", spec.g_raw(q)), ("b", spec.b_raw(q))]
+            for kind, values in slots:
+                assert values.shape == (spec.m_realized,)
+                out.update({(kind, q, k): v for k, v in enumerate(values)})
+        return out
+    weights = spec.group_weights()
+    for q in range(spec.Q):
+        out[("log_v", q, None)] = weights[q]
+        if fam == "gm":
+            comp = spec.component(q)
+            assert comp.weight == weights[q]
+            out.update({("mu", q, j): comp.mu[j] for j in range(d)})
+            out.update({("log_sd", q, j): comp.sigma_diag[j] for j in range(d)})
+        else:
+            out.update({("log_ell", q, j): v for j, v in enumerate(spec.group_lengthscales(q))})
+            hat = spec.hat(q)
+            out[("hat_mu", q, None)] = hat.mu
+            out[("hat_sigma", q, None)] = hat.sigma
+    return out
+
+
+def layout_specs():
+    specs = list(spec_zoo().values())
+    for fam in ft.FAMILIES:
+        specs.append(ft.KernelSpec.template(fam, 5, 1 if fam in ("frbf", "fard") else 2, 12))
+    return specs
+
+
+@pytest.mark.parametrize("spec", layout_specs(), ids=lambda s: f"{s.family}-d{s.d_in}")
+def test_param_info_names_the_accessor_each_entry_moves(spec):
+    delta = 0.25
+    before = natural_params(spec)
+    infos = [ft.param_info(spec, i) for i in range(spec.n_params)]
+    assert sorted(infos, key=repr) == sorted(before, key=repr)  # one entry per value
+    for i, info in enumerate(infos):
+        params = spec.params.copy()
+        params[i] += delta
+        after = natural_params(spec.with_params(params))
+        changed = [key for key in before if after[key] != before[key]]
+        assert changed == [info], (spec.family, i)
+        kind = info[0]
+        if kind in ("s_mult", "g", "b", "mu"):
+            assert after[info] == pytest.approx(before[info] + delta)
+        else:
+            assert after[info] == pytest.approx(before[info] * np.exp(delta))
+    weights = [(i, q) for i, (kind, q, _) in enumerate(infos) if kind in ("log_a", "log_v")]
+    assert spec.weight_param_info() == weights
+    for bad in (spec.n_params, -1):
+        with pytest.raises(DomainError):
+            ft.param_info(spec, bad)
+
+
+def test_accessors_return_what_the_constructors_were_given():
     zoo = spec_zoo()
-    for spec in zoo.values():
-        kinds = [ft.param_info(spec, i)[0] for i in range(spec.n_params)]
-        assert len(kinds) == spec.n_params
-        with pytest.raises(DomainError):
-            ft.param_info(spec, spec.n_params)
-        with pytest.raises(DomainError):
-            ft.param_info(spec, -1)
-    assert ft.param_info(zoo["frbf"], 0)[0] == "log_a"
-    assert ft.param_info(zoo["frbf"], 1)[0] == "log_ell"
-    assert ft.param_info(zoo["gm"], 0)[0] == "log_v"
+    assert zoo["frbf"].amplitude == pytest.approx(0.9)
+    np.testing.assert_allclose(zoo["frbf"].lengthscales, 1.3)
+    for fam in ("fard", "fsard", "fsgbard"):
+        assert zoo[fam].amplitude == pytest.approx(1.2)
+        np.testing.assert_allclose(zoo[fam].lengthscales, [0.7, 1.1, 2.3])
+    s = 0.1 * np.random.default_rng(42).standard_normal(2 * zoo["fsard"].m_realized)
+    np.testing.assert_array_equal(np.concatenate([zoo["fsard"].s_multipliers(q) for q in (0, 1)]), s)
+    stacks0 = ft.build_stacks(ft.KernelSpec.template("fsgbard", 3, 2, 4), 17)
+    for q, stack in enumerate(stacks0):
+        assert not np.any(zoo["fsgbard"].s_multipliers(q))
+        np.testing.assert_array_equal(zoo["fsgbard"].g_raw(q), stack.g_diag)
+        np.testing.assert_array_equal(zoo["fsgbard"].b_raw(q), stack.b_diag)
+    comp = zoo["gm"].component(1)
+    np.testing.assert_array_equal(comp.mu, [2.0, 0.1])
+    np.testing.assert_allclose(comp.sigma_diag, [0.3, 1.4])
+    assert comp.weight == pytest.approx(0.5)
+    pwl = zoo["pwl"]
+    np.testing.assert_allclose(pwl.group_weights(), [0.8, 0.5])
+    np.testing.assert_allclose(pwl.group_lengthscales(1), [0.6, 2.0])
+    assert (pwl.hat(1).mu, pwl.hat(1).sigma) == pytest.approx((1.1, 0.5))
 
 
 def fd_jacobian(spec, stacks, X, i, h=1e-6):
