@@ -34,16 +34,17 @@ FAMILY_DEFAULTS = {
 
 def _resolve_seed(args, parser):
     if args.seed is not None:
-        seed = args.seed
+        seed, source = args.seed, "--seed"
     elif os.environ.get("ALACARTE_SEED"):
+        source = "ALACARTE_SEED"
         try:
             seed = int(os.environ["ALACARTE_SEED"])
         except ValueError:
             parser.error("ALACARTE_SEED must be an integer")
     else:
-        seed = 0
+        return 0
     if seed < 0:
-        parser.error("--seed must be a non-negative integer")
+        parser.error(f"{source} must be a non-negative integer")
     return seed
 
 
@@ -167,6 +168,8 @@ def cmd_eval(args, parser):
     seed = _resolve_seed(args, parser)
     if args.folds < 2:
         parser.error("--folds must be >= 2")
+    if args.jobs < 1:
+        parser.error("--jobs must be >= 1")
     ds = load_csv(args.data, _resolve_target(args.target_col))
     template = _spec_template(parser, args.kernel, ds.d, args.Q, args.m)
     config = _train_config(args, seed)
@@ -198,6 +201,8 @@ def cmd_bench(args, parser):
     seed = _resolve_seed(args, parser)
     if args.folds < 2:
         parser.error("--folds must be >= 2")
+    if args.jobs < 1:
+        parser.error("--jobs must be >= 1")
     if not args.combo:
         parser.error("at least one --combo kernel:Q:m is required")
     combos = [_parse_combo(parser, c) for c in args.combo]

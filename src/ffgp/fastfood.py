@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 from scipy.special import gammaincinv
 
 from .errors import DimensionError, DomainError
@@ -165,7 +166,8 @@ def project(
     geo = stack.geometry
     if x.shape[1] != geo.d_in:
         raise DimensionError(f"input has {x.shape[1]} columns, stack expects {geo.d_in}")
-    return x @ _block_matrix(stack, s_diag, g_diag, b_diag)
+    # (x op)^T = op^T x^T from the Fortran-order views, so scipy copies neither
+    return dgemm(1.0, _block_matrix(stack, s_diag, g_diag, b_diag).T, x.T).T
 
 
 def project_transpose(

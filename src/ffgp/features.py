@@ -23,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
+from .blas import matvec
 from .errors import DimensionError, DomainError
 from .fastfood import FastfoodStack, build_stack, project, sample_chi_radii
 from .fastfood import project_transpose  # noqa: F401  unused; perfbench/tracer.py wraps it here
@@ -223,62 +225,79 @@ class KernelSpec:
         return cls(family=family, d_in=d_in, Q=Q, m_per_group=m_per_group, params=np.zeros(n))
 
     @classmethod
-    def frbf(cls, d_in, m_per_group, lengthscale=1.0, amplitude=1.0):
-        if lengthscale <= 0 or amplitude <= 0:
-            raise DomainError("scale parameters must be positive")
-        return cls("frbf", d_in, 1, m_per_group, np.log([amplitude, lengthscale]))
+    def _filled(cls, family, d_in, Q, m_per_group, fields) -> "KernelSpec":
+        """template() with each (kind, q, values) of fields written through
+        field(), so the table alone fixes where a value lands.  Fields left
+        out stay zero."""
+        spec = cls.template(family, d_in, Q, m_per_group)
+        for kind, q, values in fields:
+            view = spec.field(kind, q)
+            values = np.asarray(values, dtype=float)
+            if values.size != view.size:
+                raise DimensionError(f"{family} {kind} needs {view.size} values, got {values.size}")
+            view[:] = values.ravel()
+        return spec
 
     @classmethod
-    def fard(cls, d_in, m_per_group, lengthscales, amplitude=1.0):
+    def _ard(cls, family, d_in, Q, m_per_group, lengthscales, amplitude, group_fields=()):
+        """An F-family spec: the shared amplitude and d_in lengthscales, both
+        positive, then group_fields as _filled takes them."""
         ell = np.asarray(lengthscales, dtype=float)
         if ell.shape != (d_in,) or np.any(ell <= 0) or amplitude <= 0:
             raise DomainError("need d_in positive lengthscales and positive amplitude")
-        return cls("fard", d_in, 1, m_per_group, np.concatenate(([np.log(amplitude)], np.log(ell))))
+        shared = [("log_a", None, np.log(amplitude)), ("log_ell", None, np.log(ell))]
+        return cls._filled(family, d_in, Q, m_per_group, shared + list(group_fields))
+
+    @classmethod
+    def frbf(cls, d_in, m_per_group, lengthscale=1.0, amplitude=1.0):
+        if lengthscale <= 0 or amplitude <= 0:
+            raise DomainError("scale parameters must be positive")
+        shared = [("log_a", None, np.log(amplitude)), ("log_ell", None, np.log(lengthscale))]
+        return cls._filled("frbf", d_in, 1, m_per_group, shared)
+
+    @classmethod
+    def fard(cls, d_in, m_per_group, lengthscales, amplitude=1.0):
+        return cls._ard("fard", d_in, 1, m_per_group, lengthscales, amplitude)
 
     @classmethod
     def fsard(cls, d_in, Q, m_per_group, lengthscales, amplitude=1.0, s_multipliers=None):
-        ell = np.asarray(lengthscales, dtype=float)
-        m = pad_geometry(d_in, m_per_group).m_total
-        if s_multipliers is None:
-            s_multipliers = np.zeros(Q * m)
-        s = np.asarray(s_multipliers, dtype=float).reshape(Q * m)
-        params = np.concatenate(([np.log(amplitude)], np.log(ell), s))
-        return cls("fsard", d_in, Q, m_per_group, params)
+        """s_multipliers: Q * m' values, group by group (default 0)."""
+        groups = []
+        if s_multipliers is not None:
+            s = np.asarray(s_multipliers, dtype=float).reshape(Q, -1)
+            groups = [("s_mult", q, s[q]) for q in range(Q)]
+        return cls._ard("fsard", d_in, Q, m_per_group, lengthscales, amplitude, groups)
 
     @classmethod
     def fsgbard_from_stacks(cls, d_in, Q, m_per_group, lengthscales, stacks, amplitude=1.0):
         """Relaxed family at its sampled initial point: s-mult 0, g/b copied."""
-        ell = np.asarray(lengthscales, dtype=float)
-        m = pad_geometry(d_in, m_per_group).m_total
-        blocks = []
-        for q in range(Q):
-            blocks += [np.zeros(m), stacks[q].g_diag.copy(), stacks[q].b_diag.copy()]
-        params = np.concatenate([[np.log(amplitude)], np.log(ell)] + blocks)
-        return cls("fsgbard", d_in, Q, m_per_group, params)
+        groups = [(kind, q, diag) for q in range(Q)
+                  for kind, diag in (("g", stacks[q].g_diag), ("b", stacks[q].b_diag))]
+        return cls._ard("fsgbard", d_in, Q, m_per_group, lengthscales, amplitude, groups)
 
     @classmethod
     def gm(cls, d_in, m_per_group, components):
-        blocks = []
-        for comp in components:
+        components = list(components)
+        fields = []
+        for q, comp in enumerate(components):
             if comp.weight <= 0 or np.any(comp.sigma_diag <= 0):
                 raise DomainError("gm needs positive weights and sigma_diag")
-            blocks.append(
-                np.concatenate(([np.log(comp.weight)], comp.mu, np.log(comp.sigma_diag)))
-            )
-        return cls("gm", d_in, len(blocks), m_per_group, np.concatenate(blocks))
+            fields += [("log_v", q, np.log(comp.weight)), ("mu", q, comp.mu),
+                       ("log_sd", q, np.log(comp.sigma_diag))]
+        return cls._filled("gm", d_in, len(components), m_per_group, fields)
 
     @classmethod
     def pwl(cls, d_in, m_per_group, groups):
         """groups: iterable of (weight, lengthscales, HatSpectrum)."""
-        blocks = []
-        for weight, ell, hat in groups:
+        groups = list(groups)
+        fields = []
+        for q, (weight, ell, hat) in enumerate(groups):
             ell = np.asarray(ell, dtype=float)
             if weight <= 0 or np.any(ell <= 0) or hat.mu <= 0 or hat.sigma <= 0:
                 raise DomainError("pwl needs positive weight, lengthscales and hat params")
-            blocks.append(
-                np.concatenate(([np.log(weight)], np.log(ell), np.log([hat.mu, hat.sigma])))
-            )
-        return cls("pwl", d_in, len(blocks), m_per_group, np.concatenate(blocks))
+            fields += [("log_v", q, np.log(weight)), ("log_ell", q, np.log(ell)),
+                       ("hat_mu", q, np.log(hat.mu)), ("hat_sigma", q, np.log(hat.sigma))]
+        return cls._filled("pwl", d_in, len(groups), m_per_group, fields)
 
 
 # ---- hyper vector (noise first, then the spec's packed params) ----------
@@ -330,11 +349,12 @@ def build_stacks(spec: KernelSpec, seed: int) -> list:
 @dataclass(frozen=True)
 class DesignMatrix:
     """Feature rows by data columns, group row boundaries, and each group's
-    dense (d_in, m') Fastfood operator: xi_q = xs_q @ operators[q].
+    dense (d_in, m') Fastfood operator: xi_q = operators[q]^T xs_q^T.
 
     data is point-major (Fortran order): the D features of one point are
-    contiguous, so the trig writes fill rows of the C-contiguous data.T and
-    gp.predict's scaled copy for its triangular solve is not a transpose.
+    contiguous, so a group's (m', n) trig blocks are Fortran-order slices
+    that the scipy products fill and read in place, and gp.predict's scaled
+    copy for its triangular solve is not a transpose.
     """
 
     data: np.ndarray
@@ -373,11 +393,12 @@ def _scaled_inputs(spec: KernelSpec, q: int, X: np.ndarray) -> np.ndarray:
 def compute_features(spec: KernelSpec, stacks, X: np.ndarray) -> DesignMatrix:
     """Assemble the (D_feat, n) design matrix for spec at inputs X (n, d_in).
 
-    The matrix is point-major (Fortran order); each trig block is written in
-    place from the (n, m') array xi, with no transposed temporary.  Each stack
-    is built once, as op = project(stack, I_{d_in}), and applied as
-    xi = xs @ op; projecting the identity adds 2 d_in^2 m' flops, d_in / n of
-    the product's.
+    The matrix is point-major (Fortran order).  Each stack is built once, as
+    op = project(stack, I_{d_in}); projecting the identity adds 2 d_in^2 m'
+    flops, d_in / n of the product's.  The product runs as the scipy `dgemm`
+    xi = op^T xs^T, which returns the (m', n) Fortran-order array a trig
+    block of data is, so cos and sin write each block straight from xi with
+    no transposed temporary.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != spec.d_in:
@@ -395,19 +416,19 @@ def compute_features(spec: KernelSpec, stacks, X: np.ndarray) -> DesignMatrix:
     for q in range(spec.Q):
         s, g, b = _group_overrides(spec, stacks, q)
         operators.append(project(stacks[q], eye, s_diag=s, g_diag=g, b_diag=b))
-        xi = _scaled_inputs(spec, q, X) @ operators[q]  # (n, m)
+        xi = dgemm(1.0, operators[q].T, _scaled_inputs(spec, q, X).T)  # (m, n)
         base = q * rpg
         if spec.family == "gm":
-            zeta = X @ spec.component(q).mu  # (n,)
-            plus = xi + zeta[:, None]
-            minus = xi - zeta[:, None]
-            np.sin(plus, out=data[base : base + m].T)
-            np.cos(plus, out=data[base + m : base + 2 * m].T)
-            np.sin(minus, out=data[base + 2 * m : base + 3 * m].T)
-            np.cos(minus, out=data[base + 3 * m : base + 4 * m].T)
+            zeta = matvec(X, spec.component(q).mu)  # (n,)
+            plus = xi + zeta
+            minus = xi - zeta
+            np.sin(plus, out=data[base : base + m])
+            np.cos(plus, out=data[base + m : base + 2 * m])
+            np.sin(minus, out=data[base + 2 * m : base + 3 * m])
+            np.cos(minus, out=data[base + 3 * m : base + 4 * m])
         else:
-            np.cos(xi, out=data[base : base + m].T)
-            np.sin(xi, out=data[base + m : base + 2 * m].T)
+            np.cos(xi, out=data[base : base + m])
+            np.sin(xi, out=data[base + m : base + 2 * m])
     return DesignMatrix(data=data, operators=tuple(operators))
 
 
@@ -443,12 +464,14 @@ def feature_param_gradients(
     Returns g with g[k] = <M, dPhi/dtheta_k> for every packed feature
     parameter, zeros at weight-only coordinates (the likelihood handles those
     through the weight diagonal).  Per group, the trig chain rule gives
-    T = dL/dxi (n, m'), and every parameter that moves xi = xs @ op enters
-    through C = xs^T T (d_in, m') and the operator phi.operators[q]: a scale
-    on input column j (log-lengthscales, gm log-sigma) gives row sum j of
-    C * op, a scale on frequency k (S multipliers, the PWL hat) its column
-    sum k, which equals sum_n T * xi.  The fsgbard G and B transforms run on
-    C as well, so no stack is applied to the n data rows here.
+    T = dL/dxi (m', n, point-major like phi.data), and every parameter that
+    moves xi = op^T xs^T enters through C = (T xs)^T (d_in, m') and the
+    operator phi.operators[q]: a scale on input column j (log-lengthscales,
+    gm log-sigma) gives row sum j of C * op, a scale on frequency k (S
+    multipliers, the PWL hat) its column sum k, which equals sum_n T * xi.
+    The fsgbard G and B transforms run on C as well, so no stack is applied
+    to the n data rows here.  The products run in scipy's BLAS, as every
+    product of an evaluation does (see ffgp.gp).
     """
     X = np.asarray(X, dtype=float)
     n, d_in, m = X.shape[0], spec.d_in, spec.m_realized
@@ -465,19 +488,21 @@ def feature_param_gradients(
         if fam == "gm":
             sin_p, cos_p, sin_m, cos_m = phi.data[base : base + rpg].reshape(4, m, n)
             Msp, Mcp, Msm, Mcm = M[base : base + rpg].reshape(4, m, n)
-            t_plus = (Msp * cos_p - Mcp * sin_p).T  # (n, m)
-            t_minus = (Msm * cos_m - Mcm * sin_m).T
+            t_plus = Msp * cos_p - Mcp * sin_p  # (m, n)
+            t_minus = Msm * cos_m - Mcm * sin_m
             # mu_q: dP = +x_j, dM = -x_j
-            slot("mu", q)[:] = X.T @ (t_plus - t_minus).sum(axis=1)
+            slot("mu", q)[:] = matvec(X.T, (t_plus - t_minus).sum(axis=0))
             # log sigma_diag: dxs_j = +xs_j
-            Cop = (xs.T @ (t_plus + t_minus)) * op
+            Cop = dgemm(1.0, t_plus + t_minus, xs.T, trans_b=1).T * op
             slot("log_sd", q)[:] = Cop.sum(axis=1)
             continue
 
         cos_rows, sin_rows = phi.data[base : base + rpg].reshape(2, m, n)
         Mc, Ms = M[base : base + rpg].reshape(2, m, n)
-        T = (Ms * cos_rows - Mc * sin_rows).T  # (n, m)
-        C = xs.T @ T  # every xi-moving derivative is linear in C
+        T = Ms * cos_rows - Mc * sin_rows  # (m, n)
+        # every xi-moving derivative is linear in C; the C-order (d_in, m)
+        # transpose of T xs is what fwht_inplace needs below
+        C = dgemm(1.0, T, xs.T, trans_b=1).T
         Cop = C * op
 
         if fam == "pwl":

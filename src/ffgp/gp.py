@@ -17,15 +17,20 @@ beta = V^{1/2} A^{-1} W y plus the Cholesky factor of A, which is all the
 state prediction needs: mean = phi*^T beta and
 var = sigma^2 (1 + ||L^{-1} V^{1/2} phi*||^2).
 
-Dense algebra in the likelihood core runs in scipy's BLAS: the Grams are
-`dsyrk` (lower triangle only, which is all the Cholesky reads), the
-mat-vecs `dgemv`, and the factor and solves scipy's LAPACK.  numpy and
-scipy each bundle their own OpenBLAS with its own thread pool; a numpy
-product between two scipy calls leaves numpy's threads spinning on the
-cores the next scipy call needs (on 2 cores the co-matrix solve took 77 ms
-straight after a numpy Gram against 37 ms after a `dsyrk` one).  The
-features are checked finite once, in weighted_features, so the LAPACK
-calls behind it skip their own scans.
+Every BLAS product of an evaluation (nlml_value_and_grad) and of a
+prediction runs in scipy's OpenBLAS: the features' and the feature
+gradient's GEMMs are `dgemm` (ffgp.features), the Grams `dsyrk` (lower
+triangle only, which is all the Cholesky reads), the mat-vecs `dgemv`
+(ffgp.blas.matvec), the inner products `ddot`, and the factor and solves
+scipy's LAPACK.  numpy and scipy each bundle their own OpenBLAS with its
+own thread pool; a numpy product between two scipy calls leaves numpy's
+threads spinning on the cores the next scipy call needs (and numpy's
+vector dot goes multithreaded above 10,000 entries).  On 2 cores the
+co-matrix solve took 77 ms straight after a numpy Gram against 37 ms after
+a `dsyrk` one, and moving the feature GEMMs as well took a frbf 1x192
+evaluation (n=1350) from 121 to 53 ms.  The features are checked finite
+once, in weighted_features, so the LAPACK calls behind it skip their own
+scans.
 """
 
 from __future__ import annotations
@@ -34,8 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.linalg.blas import dgemv, dsyrk, dtrsm
+from scipy.linalg.blas import ddot, dsyrk, dtrsm
 
+from .blas import matvec
 from .errors import DimensionError, DomainError, IllConditionedError
 from .features import (
     DesignMatrix,
@@ -102,7 +108,7 @@ def _gram(W: np.ndarray, noise_var: float, trans: int) -> np.ndarray:
 def _feature_solve(W: np.ndarray, y: np.ndarray, noise_var: float):
     """Factor A = sigma^2 I_D + W W^T: returns (L, W y, u = A^{-1} W y)."""
     L, _ = chol_with_jitter(_gram(W, noise_var, trans=0))
-    Wy = dgemv(1.0, W, y)
+    Wy = matvec(W, y)
     return L, Wy, cho_solve((L, True), Wy, check_finite=False)
 
 
@@ -122,21 +128,21 @@ def _core(W: np.ndarray, y: np.ndarray, noise_var: float, mode: str, pieces: boo
     if mode == "feature":
         L, Wy, u = _feature_solve(W, y, noise_var)
         logdet = 2.0 * np.sum(np.log(np.diag(L))) + (n - D) * np.log(noise_var)
-        quad = (y @ y - Wy @ u) / noise_var
+        quad = (ddot(y, y) - ddot(Wy, u)) / noise_var
         if pieces:
             C = cho_solve((L, True), W, check_finite=False)
-            alpha = (y - dgemv(1.0, W, u, trans=1)) / noise_var
+            alpha = (y - matvec(W.T, u)) / noise_var
     elif mode == "data":
         L, _ = chol_with_jitter(_gram(W, noise_var, trans=1))
         alpha = cho_solve((L, True), y, check_finite=False)
         logdet = 2.0 * np.sum(np.log(np.diag(L)))
-        quad = y @ alpha
+        quad = ddot(y, alpha)
         if pieces:
             # C = (W L^{-T}) L^{-1}: right-side solves keep W's point-major
             # layout, where cho_solve on W^T would transpose it twice
             WLt = dtrsm(1.0, L, W, side=1, lower=1, trans_a=1)
             C = dtrsm(1.0, L, WLt, side=1, lower=1, overwrite_b=1)
-            u = dgemv(1.0, W, alpha)
+            u = matvec(W, alpha)
     else:
         raise DomainError(f"unknown mode {mode!r}")
     out = {"f": 0.5 * (n * np.log(2.0 * np.pi) + logdet + quad)}
@@ -209,7 +215,7 @@ def predict(state: PosteriorState, phi_star):
         raise DimensionError(
             f"phi_star has {data.shape[0]} rows, model has {state.beta.shape[0]}"
         )
-    mean = data.T @ state.beta
+    mean = matvec(data.T, state.beta)
     # Fortran order lets the solve overwrite z in place: one D x n copy, not two
     z = np.multiply(np.sqrt(state.weight_diag)[:, None], data, order="F")
     # non-finite features propagate to the result (TrainedModel.predict checks it)
@@ -241,7 +247,7 @@ def nlml_value_and_grad(spec: KernelSpec, stacks, X, y, hyper, mode: str = "auto
     core = _core(W, y, noise_var, mode, pieces=True)
 
     grad = np.zeros(spec.n_hypers)
-    grad[0] = noise_var * (core["tr_Kinv"] - core["alpha"] @ core["alpha"])
+    grad[0] = noise_var * (core["tr_Kinv"] - ddot(core["alpha"], core["alpha"]))
 
     # M = V^{1/2} (C - u alpha^T), built in place in C's point-major layout,
     # which feature_param_gradients reads alongside phi.data

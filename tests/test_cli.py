@@ -236,10 +236,32 @@ def test_bad_seed_usage_errors(capsys, cosine_csv, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--seed", "-1"])
     assert exc.value.code == 2
+    assert "error: --seed must be a non-negative integer" in capsys.readouterr().err
     monkeypatch.setenv("ALACARTE_SEED", "not-a-number")
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    # the message names the source the bad value came from
+    monkeypatch.setenv("ALACARTE_SEED", "-1")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and "ALACARTE_SEED must be a non-negative integer" in errors[0]
+    assert "--seed" not in errors[0]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_usage_error(capsys, cosine_csv, jobs):
+    for argv in (["eval", "--kernel", "frbf", "--m", "8"], ["bench", "--combo", "frbf:1:8"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--data", str(cosine_csv), "--folds", "2", "--jobs", jobs] + FAST)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
+        assert len(errors) == 1 and errors[0].endswith("error: --jobs must be >= 1")
+        assert captured.out == ""
 
 
 def test_single_component_families_reject_q(capsys, cosine_csv, tmp_path):

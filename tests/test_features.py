@@ -280,6 +280,13 @@ def test_validation_errors():
     with pytest.raises(DomainError):
         ft.KernelSpec.fard(3, 4, np.array([1.0, -2.0, 1.0]))
     with pytest.raises(DomainError):
+        ft.KernelSpec.fsard(3, 2, 4, np.array([1.0, 0.0, 1.0]))
+    stacks = ft.build_stacks(ft.KernelSpec.template("fsgbard", 3, 1, 4), seed=0)
+    with pytest.raises(DomainError):
+        ft.KernelSpec.fsgbard_from_stacks(3, 1, 4, np.ones(3), stacks, amplitude=0.0)
+    with pytest.raises(DimensionError):  # a field given the wrong number of values
+        ft.KernelSpec.gm(3, 4, [GmComponent(mu=np.zeros(2), sigma_diag=np.ones(2), weight=1.0)])
+    with pytest.raises(DomainError):
         ft.KernelSpec("nope", 3, 1, 4, np.zeros(3))
     with pytest.raises(DimensionError):
         ft.KernelSpec("frbf", 3, 1, 4, np.zeros(7))

@@ -1,7 +1,10 @@
 """Weight-space GP: both likelihood forms vs a dense oracle, posterior,
 prediction, and the packed-gradient path against finite differences."""
 
+import ast
+import inspect
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -269,3 +272,36 @@ def test_one_operator_build_per_group_per_evaluation(family, monkeypatch):
     nlml_value_and_grad(spec, stacks, X, y, ft.pack_hyper(spec, math.log(0.3)))
     assert len(built) == spec.Q
     assert all(b is s for b, s in zip(built, stacks))
+
+
+@pytest.mark.parametrize(
+    "func",
+    [ft.compute_features, ft.feature_param_gradients, _core, nlml_value_and_grad, predict,
+     ff.project],
+    ids=lambda func: func.__name__,
+)
+def test_evaluation_products_run_in_scipy_blas(func):
+    # numpy and scipy each bundle an OpenBLAS with its own thread pool; one
+    # numpy product inside an evaluation or a prediction wakes the second pool
+    # (ffgp.gp's docstring), so these functions call scipy.linalg.blas only
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            assert not isinstance(node.op, ast.MatMult), f"@ at line {node.lineno}"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            assert node.func.attr not in ("dot", "matmul"), f"{node.func.attr} at line {node.lineno}"
+
+
+@pytest.mark.parametrize("family", ["frbf", "gm"])
+def test_zero_points_give_empty_features_and_predictions(family):
+    rng = np.random.default_rng(4)
+    spec = ft.KernelSpec.template(family, 3, 1, 4)
+    spec = spec.with_params(spec.params + 0.1 * rng.standard_normal(spec.n_params))
+    stacks = ft.build_stacks(spec, seed=2)
+    X = rng.standard_normal((10, 3))
+    v = ft.feature_weight_matrix(spec)
+    state = fit_posterior(ft.compute_features(spec, stacks, X), v, rng.standard_normal(10), 0.1)
+    phi = ft.compute_features(spec, stacks, X[:0])
+    assert phi.data.shape == (spec.n_rows, 0)
+    mean, var = predict(state, phi)
+    assert mean.shape == var.shape == (0,)
