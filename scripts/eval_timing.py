@@ -3,12 +3,16 @@
 Times one NLML-plus-gradient evaluation (median of --repeats, after one
 warm-up) for the six baseline shapes of ROADMAP.md: the standardized
 surrogate set, first 1350 rows, d=5, at the restart-0 initialization that
-`ffgp.fit` starts from.  It also times the feature-form co-matrix solve
-C = A^{-1} W on the gm 3x64 matrices (D=768) three ways: back to back,
-straight after a numpy Gram W W^T, and straight after a scipy `dsyrk`
-Gram.  numpy and scipy each bundle their own OpenBLAS with its own thread
-pool, so the second figure shows what a numpy call costs the next scipy
-call on a machine with few cores.
+`ffgp.fit` starts from.  For the same shapes it times the co-matrix
+C = A^{-1} W = W K^{-1} alone, from the Cholesky factor the evaluation
+uses, two ways: by scipy's solves (`cho_solve` in the feature form, the two
+right-side `dtrsm` calls in the data form) and by `ffgp.gp._co_matrix`
+(one `dtrtri` and two `dtrmm`, which the evaluation runs).  It also times
+the feature-form solve `cho_solve` on the gm 3x64 matrices (D=768) three
+ways: back to back, straight after a numpy Gram W W^T, and straight after a
+scipy `dsyrk` Gram.  numpy and scipy each bundle their own OpenBLAS with
+its own thread pool, so the second figure shows what a numpy call costs the
+next scipy call on a machine with few cores.
 
 Usage: PYTHONPATH=src python3 scripts/eval_timing.py [--repeats 7]
 """
@@ -22,11 +26,11 @@ import time
 import numpy as np
 import scipy
 from scipy.linalg import cho_solve
-from scipy.linalg.blas import dsyrk
+from scipy.linalg.blas import dsyrk, dtrsm
 
 import ffgp.features as ft
 from ffgp.data import fit_standardization, make_surrogate
-from ffgp.gp import chol_with_jitter, nlml_value_and_grad, weighted_features
+from ffgp.gp import _co_matrix, _gram, chol_with_jitter, nlml_value_and_grad, weighted_features
 from ffgp.train import init_family
 
 ROWS = 1350
@@ -54,15 +58,43 @@ def restart0(family, Q, m, X, y, seed=0):
 
 def median_ms(fn, repeats, before=None):
     """Median wall time of fn() in ms; before() runs untimed ahead of each call."""
-    fn()
     times = []
-    for _ in range(repeats):
+    for _ in range(repeats + 1):  # the first call warms up
         if before is not None:
             before()
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return round(1000.0 * statistics.median(times), 1)
+    return round(1000.0 * statistics.median(times[1:]), 1)
+
+
+def weighted(spec, stacks, X, h):
+    """(W, sigma^2) of an evaluation at h."""
+    spec_h, log_noise = ft.unpack_hyper(spec, h)
+    W = weighted_features(ft.compute_features(spec_h, stacks, X), ft.feature_weight_matrix(spec_h))
+    return W, float(np.exp(2.0 * log_noise))
+
+
+def co_matrix_ms(W, noise_var, repeats):
+    """C in the form the evaluation picks: scipy's solves against _co_matrix."""
+    side = 0 if W.shape[0] < W.shape[1] else 1
+    L, _ = chol_with_jitter(_gram(W, noise_var, trans=side))
+    fresh = []  # _co_matrix consumes its factor, so each call gets an untimed copy
+
+    def solves():
+        if side == 0:
+            cho_solve((L, True), W, check_finite=False)
+        else:
+            WLt = dtrsm(1.0, L, W, side=1, lower=1, trans_a=1)
+            dtrsm(1.0, L, WLt, side=1, lower=1, overwrite_b=1)
+
+    def copy():
+        fresh[:] = [L.copy(order="F")]
+
+    return {
+        "solves": median_ms(solves, repeats),
+        "co_matrix": median_ms(lambda: _co_matrix(fresh[0], W, side), repeats, before=copy),
+    }
 
 
 def main():
@@ -71,19 +103,19 @@ def main():
     args = parser.parse_args()
     X, y = surrogate()
 
-    evals = {}
+    evals, co = {}, {}
     for family, Q, m in SHAPES:
         spec, stacks, h = restart0(family, Q, m, X, y)
-        evals[f"{family} {Q}x{m}"] = {
+        name = f"{family} {Q}x{m}"
+        evals[name] = {
             "D": spec.n_rows,
             "form": "feature" if spec.n_rows < ROWS else "data",
             "ms": median_ms(lambda: nlml_value_and_grad(spec, stacks, X, y, h), args.repeats),
         }
+        co[name] = co_matrix_ms(*weighted(spec, stacks, X, h), args.repeats)
 
     spec, stacks, h = restart0("gm", 3, 64, X, y)
-    spec_h, log_noise = ft.unpack_hyper(spec, h)
-    noise_var = float(np.exp(2.0 * log_noise))
-    W = weighted_features(ft.compute_features(spec_h, stacks, X), ft.feature_weight_matrix(spec_h))
+    W, noise_var = weighted(spec, stacks, X, h)
     L, _ = chol_with_jitter(noise_var * np.eye(W.shape[0]) + W @ W.T)
 
     def solve():
@@ -101,6 +133,7 @@ def main():
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "eval_ms": evals,
+        "co_matrix_ms": co,
         "cho_solve_gm_3x64_ms": cho,
     }))
 

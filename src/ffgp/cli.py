@@ -3,8 +3,13 @@
 All randomness flows from --seed (env ALACARTE_SEED as fallback).  Reports
 go to stdout and are byte-identical across runs with equal flags and seed;
 wall-clock timings go to stderr so they never perturb the report bytes.
-Fold and sweep cells may run concurrently (--jobs) but rows are always
-emitted in deterministic order.
+eval and bench may fit folds in concurrent threads (--jobs); rows are
+always emitted in deterministic order.  Threads buy little: scipy's BLAS
+and LAPACK wrappers, where a fit spends its time, hold the GIL, so two
+threads each running single-threaded `dgemm`, `dsyrk`, `dtrmm`,
+`cho_solve` or `cholesky` overlapped only 0.71-1.06x on 2 vCPUs (median of
+7; `np.cos` overlapped 1.85x in the same probe), and each BLAS call already
+uses every core.
 """
 
 import argparse
@@ -70,7 +75,12 @@ def _spec_template(parser, family, d_in, Q, m):
     return KernelSpec.template(family, d_in, Q, m)
 
 
-def _train_config(args, seed):
+def _train_config(args, seed, parser):
+    # zero budgets are legal: they keep the best initialization as it is
+    if args.iters < 0 or args.restart_iters < 0:
+        parser.error("--iters and --restart-iters must be >= 0")
+    if args.restarts < 1:
+        parser.error("--restarts must be >= 1")
     return TrainConfig(
         max_iters=args.iters,
         restart_count=args.restarts,
@@ -110,9 +120,9 @@ def _run_folds(template, ds, k, config, jobs):
 
 def cmd_train(args, parser):
     seed = _resolve_seed(args, parser)
+    config = _train_config(args, seed, parser)
     ds = load_csv(args.data, _resolve_target(args.target_col))
     template = _spec_template(parser, args.kernel, ds.d, args.Q, args.m)
-    config = _train_config(args, seed)
     std = fit_standardization(ds.X, ds.y)
     t0 = time.perf_counter()
     model, nlml = fit(template, std.apply_x(ds.X), std.apply_y(ds.y), config, standardization=std)
@@ -170,9 +180,9 @@ def cmd_eval(args, parser):
         parser.error("--folds must be >= 2")
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
+    config = _train_config(args, seed, parser)
     ds = load_csv(args.data, _resolve_target(args.target_col))
     template = _spec_template(parser, args.kernel, ds.d, args.Q, args.m)
-    config = _train_config(args, seed)
     results = _run_folds(template, ds, args.folds, config, args.jobs)
     for i, (_, _, ts, ps) in enumerate(results):
         print(f"fold {i + 1} train_s={ts:.2f} predict_s={ps:.2f}", file=sys.stderr)
@@ -206,8 +216,8 @@ def cmd_bench(args, parser):
     if not args.combo:
         parser.error("at least one --combo kernel:Q:m is required")
     combos = [_parse_combo(parser, c) for c in args.combo]
+    config = _train_config(args, seed, parser)
     ds = load_csv(args.data, _resolve_target(args.target_col))
-    config = _train_config(args, seed)
     rows = ["kernel\tQ\tm\trmse_mean\trmse_std\ttrain_s\tpredict_s\tmodel_bytes"]
     for family, Q, m in combos:
         template = _spec_template(parser, family, ds.d, Q, m)
@@ -236,7 +246,7 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="ffgp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, kernel=True):
+    def common(p, kernel=True, jobs=True):
         p.add_argument("--data", required=True, help="CSV dataset path")
         p.add_argument("--target-col", default=None, help="target column index or name")
         if kernel:
@@ -247,10 +257,11 @@ def build_parser():
         p.add_argument("--restarts", type=int, default=10)
         p.add_argument("--restart-iters", type=int, default=20, dest="restart_iters")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1)
+        if jobs:
+            p.add_argument("--jobs", type=int, default=1, help="folds fitted at once, in threads")
 
     p_train = sub.add_parser("train", help="fit one model on the full dataset")
-    common(p_train)
+    common(p_train, jobs=False)
     p_train.add_argument("--out", required=True, help="model file path")
     p_train.set_defaults(func=cmd_train)
 

@@ -264,6 +264,45 @@ def test_jobs_below_one_is_usage_error(capsys, cosine_csv, jobs):
         assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [("--iters", "-1", "--iters and --restart-iters must be >= 0"),
+     ("--restart-iters", "-2", "--iters and --restart-iters must be >= 0"),
+     ("--restarts", "0", "--restarts must be >= 1")],
+)
+def test_bad_fit_budget_is_usage_error(capsys, cosine_csv, tmp_path, flag, value, message):
+    for argv in (["train", "--kernel", "frbf", "--m", "8", "--out", str(tmp_path / "x.bin")],
+                 ["eval", "--kernel", "frbf", "--m", "8", "--folds", "2"],
+                 ["bench", "--combo", "frbf:1:8", "--folds", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--data", str(cosine_csv)] + FAST + [flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
+        assert len(errors) == 1 and errors[0].endswith(f"error: {message}")
+        assert captured.out == ""
+    assert not (tmp_path / "x.bin").exists()
+
+
+def test_zero_fit_budgets_train(capsys, cosine_csv, tmp_path):
+    # zero iterations keep the best initialization (the benchmark trains this way)
+    out = tmp_path / "m.bin"
+    code, stdout, _ = run(
+        capsys,
+        ["train", "--data", str(cosine_csv), "--kernel", "frbf", "--m", "8", "--out", str(out),
+         "--iters", "0", "--restarts", "1", "--restart-iters", "0"],
+    )
+    assert code == 0 and out.exists() and stdout.startswith("kernel=frbf\t")
+
+
+def test_train_has_no_jobs_flag(capsys, cosine_csv, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--data", str(cosine_csv), "--kernel", "frbf", "--m", "8",
+              "--out", str(tmp_path / "x.bin"), "--jobs", "2"] + FAST)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
 def test_single_component_families_reject_q(capsys, cosine_csv, tmp_path):
     for fam in ("frbf", "fard"):
         with pytest.raises(SystemExit) as exc:

@@ -12,9 +12,12 @@ from scipy.linalg import solve_triangular
 
 import ffgp.fastfood as ff
 import ffgp.features as ft
+import ffgp.gp as gp
 from ffgp.errors import DimensionError, DomainError, FfgpError, IllConditionedError
 from ffgp.gp import (
+    _co_matrix,
     _core,
+    _gram,
     chol_with_jitter,
     fit_posterior,
     neg_log_marginal_likelihood,
@@ -70,6 +73,47 @@ def test_core_pieces_match_dense_inverse(D, n, noise_var):
         for name, ref in want.items():
             err = np.max(np.abs(got[name] - ref)) / np.max(np.abs(ref))
             assert err <= 1e-8, (mode, name, err)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize(
+    "D,n,noise_var", [(12, 40, 0.3), (25, 25, 0.3), (40, 12, 0.3), (200, 90, 1e-6)]
+)
+def test_co_matrix_matches_dense_inverse(D, n, noise_var, side):
+    # side 0 factors A = sigma^2 I + W W^T, side 1 K = W^T W + sigma^2 I; both
+    # give A^{-1} W = W K^{-1}, here against K^{-1} from eigh
+    rng = np.random.default_rng(0)
+    W = rng.standard_normal((D, n)) / np.sqrt(D)
+    evals, vecs = np.linalg.eigh(W.T @ W + noise_var * np.eye(n))
+    want = W @ ((vecs / evals) @ vecs.T)
+    L, _ = chol_with_jitter(_gram(W, noise_var, trans=side))
+    got = _co_matrix(L, np.asfortranarray(W), side)
+    assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-8
+
+
+def test_co_matrix_rejects_singular_factor():
+    with pytest.raises(IllConditionedError):
+        _co_matrix(np.zeros((2, 2), order="F"), np.ones((2, 3), order="F"), side=0)
+
+
+@pytest.mark.parametrize("mode", ["feature", "data"])
+def test_likelihood_solves_take_vectors_only(mode, monkeypatch):
+    # the co-matrix comes from _co_matrix; cho_solve is left the solves for alpha or u
+    rng = np.random.default_rng(9)
+    spec = ft.KernelSpec.template("gm", 2, 2, 4)
+    stacks = ft.build_stacks(spec, seed=1)
+    X = rng.standard_normal((30, 2))
+    y = rng.standard_normal(30)
+    right_sides = []
+    cho_solve = gp.cho_solve
+
+    def recorded(factor, b, **kwargs):
+        right_sides.append(np.ndim(b))
+        return cho_solve(factor, b, **kwargs)
+
+    monkeypatch.setattr(gp, "cho_solve", recorded)
+    nlml_value_and_grad(spec, stacks, X, y, ft.pack_hyper(spec, math.log(0.3)), mode=mode)
+    assert right_sides == [1]
 
 
 def test_feature_and_data_forms_agree():
@@ -276,8 +320,8 @@ def test_one_operator_build_per_group_per_evaluation(family, monkeypatch):
 
 @pytest.mark.parametrize(
     "func",
-    [ft.compute_features, ft.feature_param_gradients, _core, nlml_value_and_grad, predict,
-     ff.project],
+    [ft.compute_features, ft.feature_param_gradients, _co_matrix, _core, nlml_value_and_grad,
+     predict, ff.project],
     ids=lambda func: func.__name__,
 )
 def test_evaluation_products_run_in_scipy_blas(func):
