@@ -1,9 +1,10 @@
 """One sha256 per kernel family over the numbers a refactor must not move.
 
 On a fixed small problem (the standardized surrogate set, first 200 rows,
-d=5) each family's digest hashes: the `init_family` hyper vectors of three
-restarts, the NLML and gradient at each, `param_info` for every packed index,
-`weight_param_info`, and the bytes of a model saved after a short `fit`.
+d=5) each family's digest hashes: the `restart_starts` hyper vectors of
+three restarts, the NLML and gradient at each, `param_info` for every
+packed index, `weight_param_info`, and the bytes of a model saved after a
+short `fit`.
 Two source trees that print the same lines compute the same numbers bit for
 bit, so a change meant to keep behaviour can show it by running this script
 on both.
@@ -14,6 +15,7 @@ Usage: PYTHONPATH=src python3 scripts/digest.py
 import hashlib
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,7 +23,7 @@ import ffgp.features as ft
 from ffgp.data import fit_standardization, make_surrogate
 from ffgp.gp import nlml_value_and_grad
 from ffgp.model import save_model
-from ffgp.train import TrainConfig, fit, init_family
+from ffgp.train import TrainConfig, fit, restart_starts
 
 ROWS = 200
 RESTARTS = 3
@@ -34,12 +36,8 @@ CONFIG = TrainConfig(max_iters=3, restart_count=2, restart_iters=2, seed=0)
 def family_digest(family, Q, m, X, y, std) -> str:
     h = hashlib.sha256()
     spec = ft.KernelSpec.template(family, X.shape[1], Q, m)
-    stacks = ft.build_stacks(spec, CONFIG.seed)
-    if family == "fsgbard":
-        spec = ft.KernelSpec.fsgbard_from_stacks(X.shape[1], Q, m, np.ones(X.shape[1]), stacks)
-    for r in range(RESTARTS):
-        rng = np.random.default_rng(np.random.SeedSequence((CONFIG.seed, 1000 + r)))
-        h0 = init_family(spec, X, y, rng, explore=r / (RESTARTS - 1), restart=r)
+    stacks, starts = restart_starts(spec, X, y, replace(CONFIG, restart_count=RESTARTS))
+    for h0 in starts:
         f, g = nlml_value_and_grad(spec, stacks, X, y, h0)
         for arr in (h0, np.array([f]), g):
             h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())

@@ -31,7 +31,7 @@ from scipy.linalg.blas import dsyrk, dtrsm
 import ffgp.features as ft
 from ffgp.data import fit_standardization, make_surrogate
 from ffgp.gp import _co_matrix, _gram, chol_with_jitter, nlml_value_and_grad, weighted_features
-from ffgp.train import init_family
+from ffgp.train import TrainConfig, restart_starts
 
 ROWS = 1350
 # (family, Q, m per group), as in the ROADMAP baseline table
@@ -49,11 +49,8 @@ def surrogate():
 def restart0(family, Q, m, X, y, seed=0):
     """(spec, stacks, hyper) exactly as ffgp.fit builds them for restart 0."""
     spec = ft.KernelSpec.template(family, X.shape[1], Q, m)
-    stacks = ft.build_stacks(spec, seed)
-    if family == "fsgbard":
-        spec = ft.KernelSpec.fsgbard_from_stacks(X.shape[1], Q, m, np.ones(X.shape[1]), stacks)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 1000)))
-    return spec, stacks, init_family(spec, X, y, rng, explore=0.0, restart=0)
+    stacks, starts = restart_starts(spec, X, y, TrainConfig(restart_count=1, seed=seed))
+    return spec, stacks, starts[0]
 
 
 def median_ms(fn, repeats, before=None):

@@ -55,7 +55,8 @@ from .data import (
     rmse,
 )
 from .model import TrainedModel, load_model, save_model
-from .train import TrainConfig, fit, init_ard, init_family, init_lengthscale_quantiles
+from .train import (TrainConfig, fit, init_ard, init_family, init_lengthscale_quantiles,
+                    restart_starts)
 
 __version__ = "0.1.0"
 
@@ -105,6 +106,7 @@ __all__ = [
     "project",
     "pwl_density",
     "pwl_inverse_cdf",
+    "restart_starts",
     "rmse",
     "sample_chi_radii",
     "save_model",

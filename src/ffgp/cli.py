@@ -17,6 +17,8 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
+from itertools import chain
 
 import numpy as np
 
@@ -75,6 +77,11 @@ def _spec_template(parser, family, d_in, Q, m):
     return KernelSpec.template(family, d_in, Q, m)
 
 
+def _note_rejected(n_rejected):
+    if n_rejected:
+        print(f"rejected {n_rejected} non-finite row(s)", file=sys.stderr)
+
+
 def _train_config(args, seed, parser):
     # zero budgets are legal: they keep the best initialization as it is
     if args.iters < 0 or args.restart_iters < 0:
@@ -122,6 +129,7 @@ def cmd_train(args, parser):
     seed = _resolve_seed(args, parser)
     config = _train_config(args, seed, parser)
     ds = load_csv(args.data, _resolve_target(args.target_col))
+    _note_rejected(ds.n_rejected)
     template = _spec_template(parser, args.kernel, ds.d, args.Q, args.m)
     std = fit_standardization(ds.X, ds.y)
     t0 = time.perf_counter()
@@ -140,12 +148,9 @@ def cmd_train(args, parser):
 def cmd_predict(args, parser):
     model = load_model(args.model)
     X, n_rejected = load_feature_csv(args.data)
-    if n_rejected:
-        print(f"rejected {n_rejected} non-finite row(s)", file=sys.stderr)
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        if X.shape[0] == 0:
-            return 0
+    _note_rejected(n_rejected)
+    lines = []
+    if X.shape[0]:
         if X.shape[1] != model.spec.d_in:
             raise DimensionError(
                 f"model expects d_in={model.spec.d_in}, {args.data} has {X.shape[1]} columns"
@@ -153,12 +158,10 @@ def cmd_predict(args, parser):
         t0 = time.perf_counter()
         mean, var = model.predict(X)
         print(f"predict_s={time.perf_counter() - t0:.2f}", file=sys.stderr)
-        out.write("mean,variance\n")
-        for mu, v in zip(mean, var):
-            out.write("%.17g,%.17g\n" % (mu, v))
-    finally:
-        if args.out:
-            out.close()
+        lines = chain(["mean,variance\n"], ("%.17g,%.17g\n" % mv for mv in zip(mean, var)))
+    # --out opens only once the predictions exist: a failed predict leaves it as it was
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
+        out.writelines(lines)
     return 0
 
 
@@ -182,6 +185,7 @@ def cmd_eval(args, parser):
         parser.error("--jobs must be >= 1")
     config = _train_config(args, seed, parser)
     ds = load_csv(args.data, _resolve_target(args.target_col))
+    _note_rejected(ds.n_rejected)
     template = _spec_template(parser, args.kernel, ds.d, args.Q, args.m)
     results = _run_folds(template, ds, args.folds, config, args.jobs)
     for i, (_, _, ts, ps) in enumerate(results):
@@ -218,6 +222,7 @@ def cmd_bench(args, parser):
     combos = [_parse_combo(parser, c) for c in args.combo]
     config = _train_config(args, seed, parser)
     ds = load_csv(args.data, _resolve_target(args.target_col))
+    _note_rejected(ds.n_rejected)
     rows = ["kernel\tQ\tm\trmse_mean\trmse_std\ttrain_s\tpredict_s\tmodel_bytes"]
     for family, Q, m in combos:
         template = _spec_template(parser, family, ds.d, Q, m)

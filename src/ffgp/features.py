@@ -326,23 +326,20 @@ def build_stacks(spec: KernelSpec, seed: int) -> list:
     """One frozen stack per group, children of one master seed.
 
     F-families and GM draw chi(d_pad) radii at iid quantiles; PWL uses
-    systematic (jittered-grid) quantiles through the group's hat spectrum.
-    The PWL radii stored here are a snapshot; feature computation always
-    recomputes radii from uniform_draws and the current hat parameters.
+    systematic (jittered-grid) quantiles through the group's hat spectrum,
+    by hat_radii as the features use it.  The PWL radii stored here are a
+    snapshot; feature computation always recomputes radii from
+    uniform_draws and the current hat parameters.
     """
     geo = spec.geometry
     stacks = []
     for q in range(spec.Q):
         if spec.family == "pwl":
             hat = spec.hat(q)
-            pwl = hat.to_pwl()
-            from .spectra import pwl_inverse_cdf
-
-            sampler = lambda u, _p=pwl: pwl_inverse_cdf(_p, u)
-            stacks.append(build_stack((seed, q), geo, sampler, systematic=True))
+            sampler = lambda u, _h=hat: hat_radii(_h.mu, _h.sigma, u)
         else:
             sampler = lambda u, _d=geo.d_pad: sample_chi_radii(u, _d)
-            stacks.append(build_stack((seed, q), geo, sampler, systematic=False))
+        stacks.append(build_stack((seed, q), geo, sampler, systematic=spec.family == "pwl"))
     return stacks
 
 

@@ -7,6 +7,11 @@ initialization recipes; later restarts widen the spectral search on a
 geometric ladder (see init_family) so that peaked spectra far from the
 origin are still reachable.  Selection by best NLML makes the widened
 draws harmless on easy landscapes.
+
+restart_starts is the one owner of a fit's starting point: the Fastfood
+stacks drawn from the seed and each restart's initial hyper vector.  The
+relaxed family (fsgbard) starts from the stacks' own G and B diagonals, so
+its first features are FARD's.
 """
 
 import math
@@ -38,6 +43,8 @@ from .spectra import GmComponent, HatSpectrum
 
 QUANTILE_LEVELS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
+LBFGS_MEMORY = 10  # L-BFGS history length (scipy's maxcor)
+
 # ladder ceilings: widest multiplier applied to the spectral-width draw and
 # to the PWL hat location at explore=1 (the last restart)
 SIGMA_LADDER_MAX = 30.0
@@ -49,13 +56,12 @@ class TrainConfig:
     max_iters: int = 150
     restart_count: int = 10
     restart_iters: int = 20
-    lbfgs_memory: int = 10
     gradient_tolerance: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
-        if self.restart_count < 1 or self.lbfgs_memory < 1:
-            raise DomainError("restart_count and lbfgs_memory must be >= 1")
+        if self.restart_count < 1:
+            raise DomainError("restart_count must be >= 1")
         # zero iteration budgets are legal: they return the best init as-is
         if self.max_iters < 0 or self.restart_iters < 0:
             raise DomainError("iteration budgets must be >= 0")
@@ -124,17 +130,20 @@ def _ladder_mu_std(base: float, caps: np.ndarray, explore: float) -> np.ndarray:
     return base ** (1.0 - explore) * hi**explore
 
 
-def init_family(spec, X, y, rng, explore: float = 0.0, restart: int = 0) -> np.ndarray:
-    """Packed hyper vector for one restart.
+def init_family(spec, stacks, X, y, rng, explore: float = 0.0, restart: int = 0) -> np.ndarray:
+    """Packed hyper vector for one restart of spec's shape.
 
     explore=0 follows the published recipes; explore in (0, 1] widens the
     GM shift / spectral-width draws (and the PWL hat location) on a
     geometric ladder so later restarts can reach high-frequency structure.
+    fsgbard starts from the G and B diagonals of stacks; spec's params are not read.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     if not 0.0 <= explore <= 1.0:
         raise DomainError("explore must lie in [0, 1]")
+    if len(stacks) != spec.Q:
+        raise DimensionError(f"need {spec.Q} stacks, got {len(stacks)}")
     with np.errstate(over="ignore"):
         sy = max(float(np.std(y)), 1e-3)
     if not np.isfinite(sy):
@@ -152,21 +161,13 @@ def init_family(spec, X, y, rng, explore: float = 0.0, restart: int = 0) -> np.n
     elif family in ("fard", "fsard", "fsgbard"):
         ell = init_ard(X, rng)
         if explore > 0:
-            ell = ell * np.exp(
-                rng.uniform(-1, 1, size=d) * explore * math.log(SIGMA_LADDER_MAX)
-            )
+            ell = ell * np.exp(rng.uniform(-1, 1, size=d) * explore * math.log(SIGMA_LADDER_MAX))
         if family == "fard":
             out = KernelSpec.fard(d, m, ell, amplitude=sy)
         elif family == "fsard":
             out = KernelSpec.fsard(d, Q, m, ell, amplitude=sy)
         else:
-            # keep the sampled G and B carried by the incoming spec so the
-            # initial point reproduces FARD features exactly
-            out = spec.with_params(spec.params.copy())
-            out.field("log_a")[:] = math.log(sy)
-            out.field("log_ell")[:] = np.log(ell)
-            for q in range(Q):
-                out.field("s_mult", q)[:] = 0.0
+            out = KernelSpec.fsgbard_from_stacks(d, Q, m, ell, stacks, amplitude=sy)
     elif family == "gm":
         dists = sample_pair_distances(X, rng)
         med = float(np.quantile(dists, 0.5))
@@ -232,20 +233,29 @@ def _make_objective(spec, stacks, X, y):
 
 
 def _lbfgs(objective, h0, iters, config):
-    res = minimize(
-        objective,
-        h0,
-        jac=True,
-        method="L-BFGS-B",
-        options={
-            "maxiter": iters,
-            "maxcor": config.lbfgs_memory,
-            "gtol": config.gradient_tolerance,
-        },
-    )
+    if iters == 0:  # a zero budget keeps the start as it is
+        return float(objective(h0)[0]), h0
+    options = {"maxiter": iters, "maxcor": LBFGS_MEMORY, "gtol": config.gradient_tolerance}
+    res = minimize(objective, h0, jac=True, method="L-BFGS-B", options=options)
     if np.isfinite(res.fun) and np.all(np.isfinite(res.x)):
         return float(res.fun), np.asarray(res.x, dtype=float)
     return np.inf, np.asarray(h0, dtype=float)
+
+
+def restart_starts(spec, X, y, config: TrainConfig):
+    """(stacks from config.seed, one initial hyper vector per restart).
+
+    Restart r draws from its own stream, SeedSequence((seed, 1000 + r)), at
+    explore level r / (restart_count - 1) (0 for a single restart), so no
+    start depends on another or on the optimizer runs between them.
+    """
+    stacks = build_stacks(spec, config.seed)
+    starts = []
+    for r in range(config.restart_count):
+        rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1000 + r)))
+        explore = r / max(config.restart_count - 1, 1)
+        starts.append(init_family(spec, stacks, X, y, rng, explore=explore, restart=r))
+    return stacks, starts
 
 
 def fit(spec, X, y, config: TrainConfig, standardization=None):
@@ -258,24 +268,9 @@ def fit(spec, X, y, config: TrainConfig, standardization=None):
         raise DimensionError(f"spec expects d_in={spec.d_in}, data has {X.shape[1]}")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise DomainError("X and y must be finite")
-    stacks = build_stacks(spec, config.seed)
-    if spec.family == "fsgbard":
-        spec = KernelSpec.fsgbard_from_stacks(
-            spec.d_in, spec.Q, spec.m_per_group, np.ones(spec.d_in), stacks
-        )
+    stacks, starts = restart_starts(spec, X, y, config)
     objective = _make_objective(spec, stacks, X, y)
-
-    n_restarts = config.restart_count
-    endpoints = []
-    for r in range(n_restarts):
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1000 + r)))
-        explore = 0.0 if n_restarts == 1 else r / (n_restarts - 1)
-        h0 = init_family(spec, X, y, rng, explore=explore, restart=r)
-        if config.restart_iters == 0:
-            f0, _ = objective(h0)
-            endpoints.append((float(f0), h0))
-        else:
-            endpoints.append(_lbfgs(objective, h0, config.restart_iters, config))
+    endpoints = [_lbfgs(objective, h0, config.restart_iters, config) for h0 in starts]
 
     values = np.array([f for f, _ in endpoints])
     if not np.any(np.isfinite(values)):

@@ -96,6 +96,46 @@ def test_predict_dimension_mismatch_names_both(tmp_path, capsys, cosine_csv):
     assert "d_in=1" in stderr and "2" in stderr
 
 
+def test_failed_predict_leaves_out_file_untouched(tmp_path, capsys, cosine_csv):
+    model = tmp_path / "m.bin"
+    run(capsys, ["train", "--data", str(cosine_csv), "--kernel", "frbf", "--m", "8",
+                 "--seed", "0", "--out", str(model)] + FAST)
+    out = tmp_path / "pred.csv"
+    out.write_text("mean,variance\n1,2\n")
+    wide = tmp_path / "wide.csv"
+    wide.write_text("a,b\n1,2\n")
+    code, _, _ = run(capsys, ["predict", "--model", str(model), "--data", str(wide),
+                              "--out", str(out)])
+    assert code == 1
+    assert out.read_text() == "mean,variance\n1,2\n"
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    code, _, _ = run(capsys, ["predict", "--model", str(model), "--data", str(empty),
+                              "--out", str(out)])
+    assert code == 0 and out.read_text() == ""
+
+
+def test_dropped_training_rows_are_reported_off_stdout(tmp_path, capsys, cosine_csv):
+    # criterion 09: the notice goes to stderr, the report bytes do not move
+    dirty = tmp_path / "dirty.csv"
+    dirty.write_text(cosine_csv.read_text() + "nan,1.0\n2.0,inf\n")
+    model = tmp_path / "m.bin"
+    for argv in (
+        ["train", "--kernel", "frbf", "--m", "8", "--out", str(model)],
+        ["eval", "--kernel", "frbf", "--m", "8", "--folds", "2"],
+        ["bench", "--combo", "frbf:1:8", "--folds", "2"],
+    ):
+        reports = []
+        for data in (cosine_csv, dirty):
+            code, stdout, stderr = run(capsys, argv + ["--data", str(data), "--seed", "1"] + FAST)
+            assert code == 0
+            assert ("rejected 2 non-finite row(s)" in stderr) == (data == dirty)
+            if argv[0] == "bench":  # its train_s and predict_s columns are wall-clock times
+                stdout = [ln.split("\t")[:5] + ln.split("\t")[7:] for ln in stdout.splitlines()]
+            reports.append(stdout)
+        assert reports[0] == reports[1]
+
+
 def _set_tail_float(raw, floats_from_end, value):
     """Overwrite one payload float, counted from the end of the file."""
     at = len(raw) - 8 * floats_from_end

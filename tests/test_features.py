@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from ffgp import features as ft
 from ffgp.errors import DimensionError, DomainError
 from ffgp.oracle import feature_jacobian
-from ffgp.spectra import GmComponent, HatSpectrum, gm_closed_form
+from ffgp.spectra import GmComponent, HatSpectrum, gm_closed_form, hat_radii
 
 
 def spec_zoo(m=4):
@@ -108,6 +108,18 @@ def test_fsgbard_at_init_reproduces_fard_bitwise():
     a = ft.compute_features(fard, st_f, X).data
     b = ft.compute_features(fsg, ft.build_stacks(fsg, seed), X).data
     assert np.array_equal(a, b)
+
+
+def test_pwl_stacks_accept_a_hat_too_narrow_for_pwl_knots():
+    # mu + sigma/2 rounds to mu, so this valid hat has no strictly increasing
+    # PWL knots; the stack draws its radii in the features' closed form
+    hat = HatSpectrum(1.0, 1e-17)
+    spec = ft.KernelSpec.pwl(2, 8, [(1.0, np.ones(2), hat)])
+    stacks = ft.build_stacks(spec, 0)
+    want = hat_radii(spec.hat(0).mu, spec.hat(0).sigma, stacks[0].uniform_draws)
+    np.testing.assert_allclose(stacks[0].radii, want, rtol=1e-14)
+    phi = ft.compute_features(spec, stacks, np.random.default_rng(2).standard_normal((5, 2)))
+    assert np.all(np.isfinite(phi.data))
 
 
 def test_gm_gram_converges_to_closed_form():

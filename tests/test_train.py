@@ -23,6 +23,7 @@ from ffgp.train import (
     init_ard,
     init_family,
     init_lengthscale_quantiles,
+    restart_starts,
     sample_pair_distances,
 )
 
@@ -32,8 +33,6 @@ def test_config_validation():
     TrainConfig(max_iters=0, restart_iters=0)  # zero budgets are legal
     with pytest.raises(DomainError):
         TrainConfig(restart_count=0)
-    with pytest.raises(DomainError):
-        TrainConfig(lbfgs_memory=0)
     with pytest.raises(DomainError):
         TrainConfig(max_iters=-1)
     with pytest.raises(DomainError):
@@ -93,7 +92,7 @@ def test_gm_init_weights_and_noise():
     X = rng.standard_normal((100, 2))
     y = np.tile([2.0, -2.0], 50)  # std exactly 2
     spec = ft.KernelSpec.template("gm", 2, 4, 8)
-    h = init_family(spec, X, y, rng)
+    h = init_family(spec, ft.build_stacks(spec, 0), X, y, rng)
     assert h[0] == math.log(0.2)  # noise std = std(y)/10
     spec0, _ = ft.unpack_hyper(spec, h)
     for idx, _group in spec0.weight_param_info():
@@ -105,10 +104,11 @@ def test_frbf_init_amplitude_and_quantile_cycling():
     y = np.sin(X[:, 0])
     sy = float(np.std(y))
     spec = ft.KernelSpec.template("frbf", 1, 1, 8)
+    stacks = ft.build_stacks(spec, 0)
     ells = []
     for r in range(5):
         rng = np.random.default_rng(42)  # same draws, only the cycle index moves
-        h = init_family(spec, X, y, rng, restart=r)
+        h = init_family(spec, stacks, X, y, rng, restart=r)
         spec0, _ = ft.unpack_hyper(spec, h)
         assert math.exp(spec0.params[0]) == pytest.approx(sy, rel=1e-12)
         ells.append(math.exp(spec0.params[1]))
@@ -116,24 +116,44 @@ def test_frbf_init_amplitude_and_quantile_cycling():
 
 
 def test_fsgbard_init_copies_stack_diagonals():
+    # a bare template: the start's G and B come from the stacks, not the spec
     spec = ft.KernelSpec.template("fsgbard", 3, 2, 8)
     stacks = ft.build_stacks(spec, seed=9)
-    spec = ft.KernelSpec.fsgbard_from_stacks(3, 2, 8, np.ones(3), stacks)
     rng = np.random.default_rng(4)
     X = rng.standard_normal((50, 3))
     y = rng.standard_normal(50)
-    h = init_family(spec, X, y, rng)
+    h = init_family(spec, stacks, X, y, rng)
     spec0, _ = ft.unpack_hyper(spec, h)
     for q, stack in enumerate(stacks):
         np.testing.assert_array_equal(spec0.g_raw(q), stack.g_diag)
         np.testing.assert_array_equal(spec0.b_raw(q), stack.b_diag)
+        np.testing.assert_array_equal(spec0.s_multipliers(q), 0.0)  # FARD's radii
+    phi = ft.compute_features(spec0, stacks, X).data
+    assert np.all(np.ptp(phi, axis=1) > 0)
+
+
+def test_restart_starts_draw_each_restart_from_its_own_stream():
+    X, y = make_cosine(50, seed=2)
+    spec = ft.KernelSpec.template("gm", 1, 2, 8)
+    stacks, starts = restart_starts(spec, X, y, TrainConfig(restart_count=4, seed=3))
+    assert len(starts) == 4 and len(stacks) == spec.Q
+    assert all(h.shape == (spec.n_hypers,) for h in starts)
+    assert len({h.tobytes() for h in starts}) == 4
+    # restart 0 sits at explore 0 whatever the count, so one restart repeats it
+    _, single = restart_starts(spec, X, y, TrainConfig(restart_count=1, seed=3))
+    np.testing.assert_array_equal(single[0], starts[0])
+    for ours, theirs in zip(stacks, ft.build_stacks(spec, 3)):
+        np.testing.assert_array_equal(ours.uniform_draws, theirs.uniform_draws)
 
 
 def test_init_family_rejects_bad_explore():
     spec = ft.KernelSpec.template("frbf", 1, 1, 4)
     X = np.linspace(0, 1, 10)[:, None]
+    stacks = ft.build_stacks(spec, 0)
     with pytest.raises(DomainError):
-        init_family(spec, X, np.zeros(10), np.random.default_rng(0), explore=1.5)
+        init_family(spec, stacks, X, np.zeros(10), np.random.default_rng(0), explore=1.5)
+    with pytest.raises(DimensionError):
+        init_family(spec, stacks * 2, X, np.zeros(10), np.random.default_rng(0))
 
 
 def test_zero_iteration_fit_returns_best_init():
@@ -142,14 +162,8 @@ def test_zero_iteration_fit_returns_best_init():
     config = TrainConfig(max_iters=0, restart_count=3, restart_iters=0, seed=5)
     model, nlml = fit(spec, X, y, config)
 
-    stacks = ft.build_stacks(spec, config.seed)
-    values = []
-    for r in range(3):
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1000 + r)))
-        explore = 0.0 if r == 0 else r / 2
-        h0 = init_family(spec, X, y, rng, explore=explore, restart=r)
-        f0, _ = nlml_value_and_grad(spec, stacks, X, y, h0)
-        values.append(f0)
+    stacks, starts = restart_starts(spec, X, y, config)
+    values = [nlml_value_and_grad(spec, stacks, X, y, h0)[0] for h0 in starts]
     assert nlml == pytest.approx(min(values), rel=1e-12)
     assert model.nlml == nlml
 
@@ -221,10 +235,8 @@ def test_objective_maps_extreme_hypers_to_inf(family):
     Q = 1 if family in ("frbf", "fard") else 2
     spec = ft.KernelSpec.template(family, 2, Q, 8)
     stacks = ft.build_stacks(spec, 0)
-    if family == "fsgbard":
-        spec = ft.KernelSpec.fsgbard_from_stacks(2, Q, 8, np.ones(2), stacks)
     objective = _make_objective(spec, stacks, X, y)
-    h0 = init_family(spec, X, y, np.random.default_rng(1))
+    h0 = init_family(spec, stacks, X, y, np.random.default_rng(1))
     zeros = np.zeros(spec.n_hypers)
     for i in range(spec.n_hypers):
         for value in (800.0, -800.0, np.nan):
