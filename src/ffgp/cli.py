@@ -1,15 +1,13 @@
 """Command-line surface: train, predict, eval (k-fold), bench.
 
 All randomness flows from --seed (env ALACARTE_SEED as fallback).  Reports
-go to stdout and are byte-identical across runs with equal flags and seed;
-wall-clock timings go to stderr so they never perturb the report bytes.
-eval and bench may fit folds in concurrent threads (--jobs); rows are
-always emitted in deterministic order.  Threads buy little: scipy's BLAS
-and LAPACK wrappers, where a fit spends its time, hold the GIL, so two
-threads each running single-threaded `dgemm`, `dsyrk`, `dtrmm`,
-`cho_solve` or `cholesky` overlapped only 0.71-1.06x on 2 vCPUs (median of
-7; `np.cos` overlapped 1.85x in the same probe), and each BLAS call already
-uses every core.
+go to stdout (and --out), byte-identical across runs with equal flags and
+seed; wall-clock timings go to stderr.  eval and bench share one k-fold
+path: eval cross-validates one (kernel, Q, m), bench each --combo, and all
+usage errors come before the first fit.  --jobs > 1 fits folds in threads,
+rows in fold order.  Threads buy little: scipy's BLAS and LAPACK wrappers,
+where a fit spends its time, hold the GIL (two threads overlapped 0.71-1.06x
+on 2 vCPUs, median of 7), and each BLAS call already uses every core.
 """
 
 import argparse
@@ -65,8 +63,6 @@ def _resolve_target(value):
 
 
 def _spec_template(parser, family, d_in, Q, m):
-    if family not in FAMILIES:
-        parser.error(f"unknown kernel {family!r}")
     dq, dm = FAMILY_DEFAULTS[family]
     Q = dq if Q is None else Q
     m = dm if m is None else m
@@ -82,59 +78,86 @@ def _note_rejected(n_rejected):
         print(f"rejected {n_rejected} non-finite row(s)", file=sys.stderr)
 
 
+def _load_table(args):
+    ds = load_csv(args.data, _resolve_target(args.target_col))
+    _note_rejected(ds.n_rejected)
+    return ds
+
+
 def _train_config(args, seed, parser):
     # zero budgets are legal: they keep the best initialization as it is
     if args.iters < 0 or args.restart_iters < 0:
         parser.error("--iters and --restart-iters must be >= 0")
     if args.restarts < 1:
         parser.error("--restarts must be >= 1")
-    return TrainConfig(
-        max_iters=args.iters,
-        restart_count=args.restarts,
-        restart_iters=args.restart_iters,
-        seed=seed,
-    )
+    return TrainConfig(max_iters=args.iters, restart_count=args.restarts,
+                       restart_iters=args.restart_iters, seed=seed)
 
 
-def _fit_fold(template, ds, tr_idx, te_idx, config):
-    """Train on one fold (standardizing on its training split); returns
-    (rmse, model file bytes, train_seconds, predict_seconds)."""
-    Xtr, ytr = ds.X[tr_idx], ds.y[tr_idx]
-    Xte, yte = ds.X[te_idx], ds.y[te_idx]
-    std = fit_standardization(Xtr, ytr)
+def _fit_timed(template, X, y, config):
+    """Standardize on (X, y) and fit: (model, nlml, train_seconds)."""
+    std = fit_standardization(X, y)
     t0 = time.perf_counter()
-    model, _ = fit(template, std.apply_x(Xtr), std.apply_y(ytr), config, standardization=std)
-    t1 = time.perf_counter()
-    mean, _ = model.predict(Xte)
-    t2 = time.perf_counter()
-    return rmse(mean, yte), model_nbytes(model), t1 - t0, t2 - t1
+    model, nlml = fit(template, std.apply_x(X), std.apply_y(y), config, standardization=std)
+    return model, nlml, time.perf_counter() - t0
 
 
 def _run_folds(template, ds, k, config, jobs):
+    """Each fold's (rmse, model file bytes, train_seconds, predict_seconds)."""
     folds = kfold_partitions(ds.n, k, config.seed)
 
-    def run(i):
-        return _fit_fold(template, ds, folds[i][0], folds[i][1], config)
+    def run(fold):
+        tr, te = fold
+        model, _, train_s = _fit_timed(template, ds.X[tr], ds.y[tr], config)
+        t0 = time.perf_counter()
+        mean, _ = model.predict(ds.X[te])
+        return rmse(mean, ds.y[te]), model_nbytes(model), train_s, time.perf_counter() - t0
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run, range(k)))
-    return [run(i) for i in range(k)]
+            return list(pool.map(run, folds))
+    return [run(fold) for fold in folds]
+
+
+def _cross_validate(args, parser, combos):
+    """[(combo, fold results)] per (kernel, Q, m); all usage errors precede the first
+    fit, and a generator of combos is parsed after the --folds and --jobs checks."""
+    seed = _resolve_seed(args, parser)
+    if args.folds < 2:
+        parser.error("--folds must be >= 2")
+    if args.jobs < 1:
+        parser.error("--jobs must be >= 1")
+    combos = list(combos)
+    if not combos:
+        parser.error("at least one --combo kernel:Q:m is required")
+    config = _train_config(args, seed, parser)
+    ds = _load_table(args)
+    templates = [_spec_template(parser, family, ds.d, Q, m) for family, Q, m in combos]
+    return [(c, _run_folds(t, ds, args.folds, config, args.jobs)) for c, t in zip(combos, templates)]
+
+
+def _rmse_stats(results):
+    scores = np.array([r[0] for r in results])
+    return scores, scores.mean(), scores.std(ddof=1)  # --folds >= 2
+
+
+def _write_report(lines, out):
+    report = "\n".join(lines) + "\n"
+    sys.stdout.write(report)
+    if out:
+        with open(out, "w") as fh:
+            fh.write(report)
+    return 0
 
 
 # ---- subcommands ------------------------------------------------------------
 
 
 def cmd_train(args, parser):
-    seed = _resolve_seed(args, parser)
-    config = _train_config(args, seed, parser)
-    ds = load_csv(args.data, _resolve_target(args.target_col))
-    _note_rejected(ds.n_rejected)
+    config = _train_config(args, _resolve_seed(args, parser), parser)
+    ds = _load_table(args)
     template = _spec_template(parser, args.kernel, ds.d, args.Q, args.m)
-    std = fit_standardization(ds.X, ds.y)
-    t0 = time.perf_counter()
-    model, nlml = fit(template, std.apply_x(ds.X), std.apply_y(ds.y), config, standardization=std)
-    elapsed = time.perf_counter() - t0
+    model, nlml, elapsed = _fit_timed(template, ds.X, ds.y, config)
     save_model(model, args.out)
     spec = model.spec
     print(
@@ -165,37 +188,14 @@ def cmd_predict(args, parser):
     return 0
 
 
-def _eval_report(results):
-    scores = np.array([r[0] for r in results])
-    lines = ["fold\trmse"]
-    lines += [f"{i + 1}\t{s:.6f}" for i, s in enumerate(scores)]
-    mean = scores.mean()
-    std = scores.std(ddof=1) if scores.size > 1 else 0.0
-    lines.append(f"mean\t{mean:.6f}")
-    lines.append(f"std\t{std:.6f}")
-    lines.append(f"summary\t{mean:.6f} ± {std:.6f}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_eval(args, parser):
-    seed = _resolve_seed(args, parser)
-    if args.folds < 2:
-        parser.error("--folds must be >= 2")
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-    config = _train_config(args, seed, parser)
-    ds = load_csv(args.data, _resolve_target(args.target_col))
-    _note_rejected(ds.n_rejected)
-    template = _spec_template(parser, args.kernel, ds.d, args.Q, args.m)
-    results = _run_folds(template, ds, args.folds, config, args.jobs)
+    [(_, results)] = _cross_validate(args, parser, [(args.kernel, args.Q, args.m)])
     for i, (_, _, ts, ps) in enumerate(results):
         print(f"fold {i + 1} train_s={ts:.2f} predict_s={ps:.2f}", file=sys.stderr)
-    report = _eval_report(results)
-    sys.stdout.write(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report)
-    return 0
+    scores, mean, std = _rmse_stats(results)
+    lines = ["fold\trmse"] + [f"{i + 1}\t{s:.6f}" for i, s in enumerate(scores)]
+    lines += [f"mean\t{mean:.6f}", f"std\t{std:.6f}", f"summary\t{mean:.6f} ± {std:.6f}"]
+    return _write_report(lines, args.out)
 
 
 def _parse_combo(parser, text):
@@ -212,36 +212,17 @@ def _parse_combo(parser, text):
 
 
 def cmd_bench(args, parser):
-    seed = _resolve_seed(args, parser)
-    if args.folds < 2:
-        parser.error("--folds must be >= 2")
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-    if not args.combo:
-        parser.error("at least one --combo kernel:Q:m is required")
-    combos = [_parse_combo(parser, c) for c in args.combo]
-    config = _train_config(args, seed, parser)
-    ds = load_csv(args.data, _resolve_target(args.target_col))
-    _note_rejected(ds.n_rejected)
     rows = ["kernel\tQ\tm\trmse_mean\trmse_std\ttrain_s\tpredict_s\tmodel_bytes"]
-    for family, Q, m in combos:
-        template = _spec_template(parser, family, ds.d, Q, m)
-        results = _run_folds(template, ds, args.folds, config, args.jobs)
-        scores = np.array([r[0] for r in results])
+    combos = (_parse_combo(parser, text) for text in args.combo)
+    for (family, Q, m), results in _cross_validate(args, parser, combos):
+        _, mean, std = _rmse_stats(results)
         train_s = sum(r[2] for r in results)
         predict_s = sum(r[3] for r in results)
         size = max(r[1] for r in results)
-        std = scores.std(ddof=1) if scores.size > 1 else 0.0
         rows.append(
-            f"{family}\t{Q}\t{m}\t{scores.mean():.6f}\t{std:.6f}"
-            f"\t{train_s:.2f}\t{predict_s:.2f}\t{size}"
+            f"{family}\t{Q}\t{m}\t{mean:.6f}\t{std:.6f}\t{train_s:.2f}\t{predict_s:.2f}\t{size}"
         )
-    report = "\n".join(rows) + "\n"
-    sys.stdout.write(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report)
-    return 0
+    return _write_report(rows, args.out)
 
 
 # ---- parser -----------------------------------------------------------------
@@ -298,10 +279,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except FfgpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FfgpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -44,13 +44,18 @@ class Standardization:
 def fit_standardization(X: np.ndarray, y: np.ndarray) -> Standardization:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    x_std = X.std(axis=0)
-    x_std = np.where(x_std > 0.0, x_std, 1.0)
-    y_std = float(y.std())
+    # values near the float limit overflow the sums; refuse them here rather
+    # than fit on NaNs or write a model that load_model rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_mean, x_std = X.mean(axis=0), X.std(axis=0)
+        y_mean, y_std = float(y.mean()), float(y.std())
+    for name, stats in (("X", (x_mean, x_std)), ("y", (y_mean, y_std))):
+        if not np.all(np.isfinite(stats)):
+            raise DomainError(f"{name} mean or scale is not finite; rescale the data")
     return Standardization(
-        x_mean=X.mean(axis=0),
-        x_std=x_std,
-        y_mean=float(y.mean()),
+        x_mean=x_mean,
+        x_std=np.where(x_std > 0.0, x_std, 1.0),
+        y_mean=y_mean,
         y_std=y_std if y_std > 0.0 else 1.0,
     )
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ffgp.cli as cli
 from ffgp.cli import main
 from ffgp.data import load_csv, make_cosine, save_csv
 
@@ -442,3 +443,74 @@ def test_train_rejects_malformed_csv(tmp_path, capsys, text, target):
     )
     assert code == 1 and stdout == ""
     assert stderr.startswith("error:") and stderr.count("\n") == 1
+
+
+def test_bench_validates_every_combo_before_the_first_fit(capsys, cosine_csv, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "fit", lambda *a, **k: calls.append(1))
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--data", str(cosine_csv), "--folds", "3",
+              "--combo", "gm:1:8", "--combo", "frbf:2:8"] + FAST)
+    assert exc.value.code == 2
+    assert "error: frbf is a single-component kernel; use --Q 1" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.fixture()
+def cosine200_csv(tmp_path):
+    X, y = make_cosine(200, seed=0)
+    p = tmp_path / "cos200.csv"
+    save_csv(p, X, y, feature_names=["x"])
+    return p
+
+
+def _bench_cells(capsys, csv, *extra):
+    """Bench report rows without the train_s and predict_s timing columns."""
+    code, stdout, _ = run(capsys, ["bench", "--data", str(csv), "--folds", "3", "--seed", "2",
+                                   *extra] + FAST)
+    assert code == 0
+    return [ln.split("\t")[:5] + ln.split("\t")[7:] for ln in stdout.splitlines()]
+
+
+def test_bench_row_matches_eval_summary(capsys, cosine200_csv):
+    rows = _bench_cells(capsys, cosine200_csv, "--combo", "gm:1:8")
+    code, stdout, _ = run(capsys, ["eval", "--data", str(cosine200_csv), "--kernel", "gm",
+                                   "--Q", "1", "--m", "8", "--folds", "3", "--seed", "2"] + FAST)
+    assert code == 0
+    stats = dict(ln.split("\t") for ln in stdout.splitlines() if ln.split("\t")[0] in ("mean", "std"))
+    assert len(rows) == 2 and rows[1][3:5] == [stats["mean"], stats["std"]]
+
+
+def test_bench_jobs_invariant(capsys, cosine200_csv):
+    combos = ["--combo", "gm:1:8", "--combo", "frbf:1:8"]
+    serial = _bench_cells(capsys, cosine200_csv, *combos, "--jobs", "1")
+    assert len(serial) == 3
+    assert _bench_cells(capsys, cosine200_csv, *combos, "--jobs", "2") == serial
+
+
+@pytest.fixture(params=["X", "y"])
+def overflowing_csv(request, tmp_path):
+    # 40 rows, d=2; one side near 1e300, whose variance overflows
+    rng = np.random.default_rng(0)
+    X = rng.uniform(0, 5, size=(40, 2))
+    y = np.sin(X[:, 0]) + X[:, 1]
+    if request.param == "X":
+        X = X * 1e300
+    else:
+        y = y * 1e300
+    p = tmp_path / f"huge_{request.param}.csv"
+    save_csv(p, X, y, feature_names=["a", "b"])
+    return p, request.param
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_overflowing_statistics_are_one_clean_error(capsys, tmp_path, overflowing_csv, command):
+    path, side = overflowing_csv
+    model = tmp_path / "m.bin"
+    extra = ["--out", str(model)] if command == "train" else ["--folds", "3"]
+    code, stdout, stderr = run(capsys, [command, "--data", str(path), "--kernel", "gm",
+                                        "--Q", "1", "--m", "16", "--seed", "0"] + extra + FAST)
+    assert code == 1 and stdout == ""
+    assert stderr.startswith("error:") and stderr.count("\n") == 1
+    assert f"{side} mean or scale is not finite" in stderr
+    assert not model.exists()

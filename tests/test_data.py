@@ -1,5 +1,7 @@
 """CSV ingestion, standardization, fold partitions, metrics, generators."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -198,3 +200,30 @@ def test_generators_deterministic_and_shaped():
 def test_dataset_properties():
     ds = Dataset(X=np.zeros((7, 2)), y=np.zeros(7))
     assert ds.n == 7 and ds.d == 2 and ds.n_rejected == 0
+
+
+@pytest.mark.parametrize("side", ["X", "y"])
+@pytest.mark.parametrize("value", [1e300, 1e308, np.finfo(float).max])
+def test_standardization_refuses_overflowing_statistics(side, value):
+    rng = np.random.default_rng(2)
+    # below 1, so every scaled value stays finite
+    X = rng.uniform(0.5, 1.0, size=(40, 2))
+    y = rng.uniform(0.5, 1.0, size=40)
+    if side == "X":
+        X[:, 1] *= value
+    else:
+        y *= value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning ahead of the error
+        with pytest.raises(DomainError, match=f"^{side} mean or scale is not finite"):
+            fit_standardization(X, y)
+
+
+def test_standardization_statistics_are_plain_moments():
+    rng = np.random.default_rng(3)
+    X = rng.uniform(-1e150, 1e150, size=(30, 3))
+    y = 1e150 * rng.standard_normal(30)
+    std = fit_standardization(X, y)
+    np.testing.assert_array_equal(std.x_mean, X.mean(axis=0))
+    np.testing.assert_array_equal(std.x_std, X.std(axis=0))
+    assert std.y_mean == float(y.mean()) and std.y_std == float(y.std())

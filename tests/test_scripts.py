@@ -1,11 +1,13 @@
-"""Smoke tests for the scripts that build on the library's start protocol."""
+"""Smoke tests for the scripts under scripts/: each main() runs on small inputs."""
 
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 
+from ffgp.data import load_csv
 from ffgp.train import TrainConfig, fit
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -40,3 +42,31 @@ def test_eval_timing_starts_where_fit_starts():
     config = TrainConfig(max_iters=0, restart_count=1, restart_iters=0, seed=0)
     model, _ = fit(spec, X, y, config)
     np.testing.assert_array_equal(model.spec.params, h[1:])
+
+
+def test_run_scaling_prints_one_row_per_size(capsys, monkeypatch):
+    scaling = _load("run_scaling")
+    monkeypatch.setattr(sys, "argv", ["run_scaling.py", "--sizes", "200", "400"])
+    scaling.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "n\tseconds\tmodel_bytes" and len(lines) == 5
+    rows = [ln.split("\t") for ln in lines[1:3]]
+    assert [r[0] for r in rows] == ["200", "400"]
+    assert all(re.fullmatch(r"\d+\.\d\d", r[1]) and int(r[2]) > 0 for r in rows)
+    assert re.fullmatch(r"log-log slope = -?\d+\.\d{3}", lines[3])
+    assert lines[4] == "file size constant across n: True"
+
+
+def test_make_datasets_writes_the_bundled_tables(capsys, monkeypatch, tmp_path):
+    make = _load("make_datasets")
+    monkeypatch.setattr(sys, "argv", ["make_datasets.py", "--out-dir", str(tmp_path)])
+    make.main()
+    lines = capsys.readouterr().out.splitlines()
+    shapes = {"surrogate.csv": (1503, 5), "cosine6.csv": (500, 1),
+              "smooth_2000.csv": (2000, 4), "smooth_8000.csv": (8000, 4),
+              "smooth_32000.csv": (32000, 4)}
+    assert [ln.split(":")[0] for ln in lines] == list(shapes)
+    for line, (name, (n, d)) in zip(lines, shapes.items()):
+        assert line.startswith(f"{name}: n={n} d={d}")
+        ds = load_csv(tmp_path / name)
+        assert (ds.n, ds.d, ds.n_rejected) == (n, d, 0)
