@@ -4,15 +4,9 @@ Times one NLML-plus-gradient evaluation (median of --repeats, after one
 warm-up) for the six baseline shapes of ROADMAP.md: the standardized
 surrogate set, first 1350 rows, d=5, at the restart-0 initialization that
 `ffgp.fit` starts from.  For the same shapes it times the co-matrix
-C = A^{-1} W = W K^{-1} alone, from the Cholesky factor the evaluation
-uses, two ways: by scipy's solves (`cho_solve` in the feature form, the two
-right-side `dtrsm` calls in the data form) and by `ffgp.gp._co_matrix`
-(one `dtrtri` and two `dtrmm`, which the evaluation runs).  It also times
-the feature-form solve `cho_solve` on the gm 3x64 matrices (D=768) three
-ways: back to back, straight after a numpy Gram W W^T, and straight after a
-scipy `dsyrk` Gram.  numpy and scipy each bundle their own OpenBLAS with
-its own thread pool, so the second figure shows what a numpy call costs the
-next scipy call on a machine with few cores.
+C = A^{-1} W = W K^{-1} alone: `ffgp.gp._co_matrix` (one `dtrtri` and two
+`dtrmm`), in the form the evaluation picks, from a fresh copy of the
+Cholesky factor the evaluation uses.
 
 Usage: PYTHONPATH=src python3 scripts/eval_timing.py [--repeats 7]
 """
@@ -25,8 +19,6 @@ import time
 
 import numpy as np
 import scipy
-from scipy.linalg import cho_solve
-from scipy.linalg.blas import dsyrk, dtrsm
 
 import ffgp.features as ft
 from ffgp.data import fit_standardization, make_surrogate
@@ -54,7 +46,7 @@ def restart0(family, Q, m, X, y, seed=0):
 
 
 def median_ms(fn, repeats, before=None):
-    """Median wall time of fn() in ms; before() runs untimed ahead of each call."""
+    """Median ms of fn() to 3 significant digits; before() runs untimed ahead of each."""
     times = []
     for _ in range(repeats + 1):  # the first call warms up
         if before is not None:
@@ -62,7 +54,7 @@ def median_ms(fn, repeats, before=None):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return round(1000.0 * statistics.median(times[1:]), 1)
+    return float(f"{1000.0 * statistics.median(times[1:]):.3g}")
 
 
 def weighted(spec, stacks, X, h):
@@ -73,25 +65,15 @@ def weighted(spec, stacks, X, h):
 
 
 def co_matrix_ms(W, noise_var, repeats):
-    """C in the form the evaluation picks: scipy's solves against _co_matrix."""
+    """_co_matrix in the form the evaluation picks, from a fresh factor each call."""
     side = 0 if W.shape[0] < W.shape[1] else 1
     L, _ = chol_with_jitter(_gram(W, noise_var, trans=side))
     fresh = []  # _co_matrix consumes its factor, so each call gets an untimed copy
 
-    def solves():
-        if side == 0:
-            cho_solve((L, True), W, check_finite=False)
-        else:
-            WLt = dtrsm(1.0, L, W, side=1, lower=1, trans_a=1)
-            dtrsm(1.0, L, WLt, side=1, lower=1, overwrite_b=1)
-
     def copy():
         fresh[:] = [L.copy(order="F")]
 
-    return {
-        "solves": median_ms(solves, repeats),
-        "co_matrix": median_ms(lambda: _co_matrix(fresh[0], W, side), repeats, before=copy),
-    }
+    return median_ms(lambda: _co_matrix(fresh[0], W, side), repeats, before=copy)
 
 
 def main():
@@ -111,18 +93,6 @@ def main():
         }
         co[name] = co_matrix_ms(*weighted(spec, stacks, X, h), args.repeats)
 
-    spec, stacks, h = restart0("gm", 3, 64, X, y)
-    W, noise_var = weighted(spec, stacks, X, h)
-    L, _ = chol_with_jitter(noise_var * np.eye(W.shape[0]) + W @ W.T)
-
-    def solve():
-        cho_solve((L, True), W, check_finite=False)
-
-    cho = {
-        "back_to_back": median_ms(solve, args.repeats),
-        "after_numpy_gram": median_ms(solve, args.repeats, before=lambda: W @ W.T),
-        "after_dsyrk": median_ms(solve, args.repeats, before=lambda: dsyrk(1.0, W, lower=1)),
-    }
     print(json.dumps({
         "rows": ROWS,
         "repeats": args.repeats,
@@ -131,7 +101,6 @@ def main():
         "scipy": scipy.__version__,
         "eval_ms": evals,
         "co_matrix_ms": co,
-        "cho_solve_gm_3x64_ms": cho,
     }))
 
 

@@ -17,7 +17,8 @@ from .errors import DimensionError, DomainError, InsufficientDataError, ParseErr
 
 @dataclass(frozen=True)
 class Standardization:
-    """Per-column location/scale for X and y; constant columns get scale 1."""
+    """Per-column location/scale for X and y; only a truly constant column
+    (or y) gets scale 1."""
 
     x_mean: np.ndarray
     x_std: np.ndarray
@@ -41,14 +42,32 @@ class Standardization:
         return cls(x_mean=np.zeros(d), x_std=np.ones(d), y_mean=0.0, y_std=1.0)
 
 
+# Below this std the variance is subnormal or 0: np.std's squares underflow
+_TINY_STD = np.sqrt(np.finfo(float).tiny)
+
+
+def _std(values: np.ndarray, mean) -> np.ndarray:
+    """values.std(axis=0), exact at any finite scale: where the variance
+    underflows (deviations below about 1e-154), the std of the deviations
+    scaled by their largest magnitude, times that magnitude.  A truly
+    constant column keeps std 0."""
+    std = values.std(axis=0)
+    if np.any(std < _TINY_STD):
+        dev = values - mean
+        peak = np.max(np.abs(dev), axis=0)
+        scaled = (dev / np.where(peak > 0.0, peak, 1.0)).std(axis=0) * peak
+        std = np.where(std < _TINY_STD, scaled, std)
+    return std
+
+
 def fit_standardization(X: np.ndarray, y: np.ndarray) -> Standardization:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     # values near the float limit overflow the sums; refuse them here rather
     # than fit on NaNs or write a model that load_model rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        x_mean, x_std = X.mean(axis=0), X.std(axis=0)
-        y_mean, y_std = float(y.mean()), float(y.std())
+        x_mean, y_mean = X.mean(axis=0), float(y.mean())
+        x_std, y_std = _std(X, x_mean), float(_std(y, y_mean))
     for name, stats in (("X", (x_mean, x_std)), ("y", (y_mean, y_std))):
         if not np.all(np.isfinite(stats)):
             raise DomainError(f"{name} mean or scale is not finite; rescale the data")

@@ -45,6 +45,8 @@ _LAYOUTS = {
     "pwl": ((), (("log_v", None), ("log_ell", "d"), ("hat_mu", None), ("hat_sigma", None))),
 }
 FAMILIES = tuple(_LAYOUTS)
+# The kinds stored as logs of positive natural values
+_LOG_KINDS = frozenset({"log_a", "log_ell", "log_v", "log_sd", "hat_mu", "hat_sigma"})
 
 
 def _field_size(length, d_in: int, m_realized: int) -> int:
@@ -226,34 +228,33 @@ class KernelSpec:
 
     @classmethod
     def _filled(cls, family, d_in, Q, m_per_group, fields) -> "KernelSpec":
-        """template() with each (kind, q, values) of fields written through
-        field(), so the table alone fixes where a value lands.  Fields left
-        out stay zero."""
+        """template() with each (kind, q, natural values) of fields written
+        through field(), so the table alone fixes where a value lands; a
+        _LOG_KINDS value must be positive and is stored as its log.  Fields
+        left out stay zero."""
         spec = cls.template(family, d_in, Q, m_per_group)
         for kind, q, values in fields:
             view = spec.field(kind, q)
-            values = np.asarray(values, dtype=float)
+            values = np.asarray(values, dtype=float).ravel()
             if values.size != view.size:
                 raise DimensionError(f"{family} {kind} needs {view.size} values, got {values.size}")
-            view[:] = values.ravel()
+            if kind in _LOG_KINDS:
+                if np.any(values <= 0):
+                    raise DomainError(f"{family} {kind} needs positive values (stored as logs)")
+                values = np.log(values)
+            view[:] = values
         return spec
 
     @classmethod
     def _ard(cls, family, d_in, Q, m_per_group, lengthscales, amplitude, group_fields=()):
-        """An F-family spec: the shared amplitude and d_in lengthscales, both
-        positive, then group_fields as _filled takes them."""
-        ell = np.asarray(lengthscales, dtype=float)
-        if ell.shape != (d_in,) or np.any(ell <= 0) or amplitude <= 0:
-            raise DomainError("need d_in positive lengthscales and positive amplitude")
-        shared = [("log_a", None, np.log(amplitude)), ("log_ell", None, np.log(ell))]
+        """An F-family spec: the shared amplitude and lengthscales, then
+        group_fields, all as _filled takes them."""
+        shared = [("log_a", None, amplitude), ("log_ell", None, lengthscales)]
         return cls._filled(family, d_in, Q, m_per_group, shared + list(group_fields))
 
     @classmethod
     def frbf(cls, d_in, m_per_group, lengthscale=1.0, amplitude=1.0):
-        if lengthscale <= 0 or amplitude <= 0:
-            raise DomainError("scale parameters must be positive")
-        shared = [("log_a", None, np.log(amplitude)), ("log_ell", None, np.log(lengthscale))]
-        return cls._filled("frbf", d_in, 1, m_per_group, shared)
+        return cls._ard("frbf", d_in, 1, m_per_group, lengthscale, amplitude)
 
     @classmethod
     def fard(cls, d_in, m_per_group, lengthscales, amplitude=1.0):
@@ -278,25 +279,17 @@ class KernelSpec:
     @classmethod
     def gm(cls, d_in, m_per_group, components):
         components = list(components)
-        fields = []
-        for q, comp in enumerate(components):
-            if comp.weight <= 0 or np.any(comp.sigma_diag <= 0):
-                raise DomainError("gm needs positive weights and sigma_diag")
-            fields += [("log_v", q, np.log(comp.weight)), ("mu", q, comp.mu),
-                       ("log_sd", q, np.log(comp.sigma_diag))]
+        fields = [(kind, q, value) for q, c in enumerate(components)
+                  for kind, value in (("log_v", c.weight), ("mu", c.mu), ("log_sd", c.sigma_diag))]
         return cls._filled("gm", d_in, len(components), m_per_group, fields)
 
     @classmethod
     def pwl(cls, d_in, m_per_group, groups):
         """groups: iterable of (weight, lengthscales, HatSpectrum)."""
         groups = list(groups)
-        fields = []
-        for q, (weight, ell, hat) in enumerate(groups):
-            ell = np.asarray(ell, dtype=float)
-            if weight <= 0 or np.any(ell <= 0) or hat.mu <= 0 or hat.sigma <= 0:
-                raise DomainError("pwl needs positive weight, lengthscales and hat params")
-            fields += [("log_v", q, np.log(weight)), ("log_ell", q, np.log(ell)),
-                       ("hat_mu", q, np.log(hat.mu)), ("hat_sigma", q, np.log(hat.sigma))]
+        fields = [(kind, q, value) for q, (weight, ell, hat) in enumerate(groups)
+                  for kind, value in (("log_v", weight), ("log_ell", ell),
+                                      ("hat_mu", hat.mu), ("hat_sigma", hat.sigma))]
         return cls._filled("pwl", d_in, len(groups), m_per_group, fields)
 
 

@@ -15,15 +15,13 @@ and tr(K_y^{-1}) = (n - sum q) / sigma^2, so no inverse of A or K_y is
 formed.  C itself is one triangular inverse of the Cholesky factor
 (`dtrtri`, in place) and two triangular products (`dtrmm`): L^{-T} L^{-1} W
 in the feature form, W L^{-T} L^{-1} in the data form.  That is the flop
-count of the two triangular solves it replaces plus D^3/3 (or n^3/3), but
-scipy's OpenBLAS runs `trmm` at GEMM speed and `trsm` well below it.  On
-2 vCPUs (scripts/eval_timing.py) C took 29 ms against 48 ms at gm 3x64
-(D=768, n=1350) and 260 against 362 ms at gm 5x256 (D=5120, data form).
-Its accuracy is that of the solves (tr K_y^{-1} to 1e-10 relative on a
-rank-deficient A with sigma^2=1e-6), where `dpotri` + `dsymm` lost six
-digits.  The posterior keeps beta = V^{1/2} A^{-1} W y plus the Cholesky
-factor of A, which is all the state prediction needs: mean = phi*^T beta
-and var = sigma^2 (1 + ||L^{-1} V^{1/2} phi*||^2).
+count of two triangular solves plus D^3/3 (or n^3/3), but scipy's OpenBLAS
+runs `trmm` at GEMM speed and `trsm` well below it.  Its accuracy is that
+of the solves (tr K_y^{-1} to 1e-10 relative on a rank-deficient A with
+sigma^2=1e-6), where `dpotri` + `dsymm` lost six digits.  The posterior
+keeps beta = V^{1/2} A^{-1} W y plus the Cholesky factor of A, which is all
+the state prediction needs: mean = phi*^T beta and
+var = sigma^2 (1 + ||L^{-1} V^{1/2} phi*||^2).
 
 Every BLAS product of an evaluation (nlml_value_and_grad) and of a
 prediction runs in scipy's OpenBLAS: the features' and the feature
@@ -33,12 +31,9 @@ triangle only, which is all the Cholesky reads), the mat-vecs `dgemv`
 scipy's LAPACK.  numpy and scipy each bundle their own OpenBLAS with its
 own thread pool; a numpy product between two scipy calls leaves numpy's
 threads spinning on the cores the next scipy call needs (and numpy's
-vector dot goes multithreaded above 10,000 entries).  On 2 cores the
-co-matrix solve took 77 ms straight after a numpy Gram against 37 ms after
-a `dsyrk` one, and moving the feature GEMMs as well took a frbf 1x192
-evaluation (n=1350) from 121 to 53 ms.  The features are checked finite
-once, in weighted_features, so the LAPACK calls behind it skip their own
-scans.
+vector dot goes multithreaded above 10,000 entries).  The features are
+checked finite once, in weighted_features, so the LAPACK calls behind it
+skip their own scans.
 """
 
 from __future__ import annotations
@@ -134,13 +129,13 @@ def _co_matrix(L: np.ndarray, W: np.ndarray, side: int) -> np.ndarray:
     return dtrmm(1.0, Linv, B, side=side, lower=1, trans_a=1 - side, overwrite_b=1)
 
 
-def _core(W: np.ndarray, y: np.ndarray, noise_var: float, mode: str, pieces: bool):
-    """NLML (and optional gradient ingredients) in the chosen form.
+def _core(W: np.ndarray, y: np.ndarray, noise_var: float, mode: str):
+    """NLML and its gradient ingredients in the chosen form.
 
-    Returns a dict with f and, when pieces: the co-matrix C = A^{-1} W =
-    W K^{-1} (D x n), alpha = K^{-1} y, u = W alpha, r (per-feature-row
-    diagonal of W (K^{-1} - alpha alpha^T) W^T) and tr(K^{-1}).  Each form
-    solves only for its own C, alpha and u; r and tr(K^{-1}) both come from
+    Returns a dict with f, the co-matrix C = A^{-1} W = W K^{-1} (D x n),
+    alpha = K^{-1} y, u = W alpha, r (per-feature-row diagonal of
+    W (K^{-1} - alpha alpha^T) W^T) and tr(K^{-1}).  Each form solves only
+    for its own C, alpha and u; r and tr(K^{-1}) both come from
     q = diag(W K^{-1} W^T), the row sums of C * W, for either form.  C
     comes from _co_matrix, which consumes the factor, so it runs last.
     """
@@ -151,24 +146,20 @@ def _core(W: np.ndarray, y: np.ndarray, noise_var: float, mode: str, pieces: boo
         L, Wy, u = _feature_solve(W, y, noise_var)
         logdet = 2.0 * np.sum(np.log(np.diag(L))) + (n - D) * np.log(noise_var)
         quad = (ddot(y, y) - ddot(Wy, u)) / noise_var
-        if pieces:
-            C = _co_matrix(L, W, side=0)
-            alpha = (y - matvec(W.T, u)) / noise_var
+        C = _co_matrix(L, W, side=0)
+        alpha = (y - matvec(W.T, u)) / noise_var
     elif mode == "data":
         L, _ = chol_with_jitter(_gram(W, noise_var, trans=1))
         alpha = cho_solve((L, True), y, check_finite=False)
         logdet = 2.0 * np.sum(np.log(np.diag(L)))
         quad = ddot(y, alpha)
-        if pieces:
-            C = _co_matrix(L, W, side=1)
-            u = matvec(W, alpha)
+        C = _co_matrix(L, W, side=1)
+        u = matvec(W, alpha)
     else:
         raise DomainError(f"unknown mode {mode!r}")
-    out = {"f": 0.5 * (n * np.log(2.0 * np.pi) + logdet + quad)}
-    if pieces:
-        q = np.einsum("in,in->i", C, W)
-        out.update(r=q - u**2, C=C, alpha=alpha, u=u, tr_Kinv=(n - float(np.sum(q))) / noise_var)
-    return out
+    q = np.einsum("in,in->i", C, W)
+    return {"f": 0.5 * (n * np.log(2.0 * np.pi) + logdet + quad), "C": C, "alpha": alpha, "u": u,
+            "r": q - u**2, "tr_Kinv": (n - float(np.sum(q))) / noise_var}
 
 
 def neg_log_marginal_likelihood(phi, weight_diag, y, noise_var, mode: str = "auto") -> float:
@@ -185,7 +176,7 @@ def neg_log_marginal_likelihood(phi, weight_diag, y, noise_var, mode: str = "aut
         raise DimensionError(f"y must be ({W.shape[1]},), got {y.shape}")
     if y.size < 1:
         raise DimensionError("need n >= 1")
-    return float(_core(W, y, noise_var, mode, pieces=False)["f"])
+    return float(_core(W, y, noise_var, mode)["f"])
 
 
 @dataclass(frozen=True)
@@ -263,7 +254,7 @@ def nlml_value_and_grad(spec: KernelSpec, stacks, X, y, hyper, mode: str = "auto
     phi = compute_features(spec_h, stacks, X)
     weight_diag = feature_weight_matrix(spec_h)
     W = weighted_features(phi, weight_diag)
-    core = _core(W, y, noise_var, mode, pieces=True)
+    core = _core(W, y, noise_var, mode)
 
     grad = np.zeros(spec.n_hypers)
     grad[0] = noise_var * (core["tr_Kinv"] - ddot(core["alpha"], core["alpha"]))

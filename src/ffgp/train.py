@@ -75,7 +75,8 @@ class TrainConfig:
 
 
 def sample_pair_distances(X, rng) -> np.ndarray:
-    """Distances of min(2000, ceil(n/5)) random distinct point pairs."""
+    """Distances of min(2000, ceil(n/5)) random distinct point pairs; when
+    every sampled pair is a duplicate row, drawn again among the distinct rows."""
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     if n < 2:
@@ -85,6 +86,12 @@ def sample_pair_distances(X, rng) -> np.ndarray:
     j = (i + rng.integers(1, n, size=n_pairs)) % n
     dists = np.linalg.norm(X[i] - X[j], axis=1)
     if not np.any(dists > 0):
+        # every sampled pair was a duplicate: sample among the distinct rows
+        distinct = np.unique(X, axis=0)
+        if distinct.shape[0] == 1:
+            raise InsufficientDataError("all input rows are identical")
+        if distinct.shape[0] < n:
+            return sample_pair_distances(distinct, rng)
         raise InsufficientDataError("all sampled pair distances are zero")
     return dists
 

@@ -227,3 +227,17 @@ def test_standardization_statistics_are_plain_moments():
     np.testing.assert_array_equal(std.x_mean, X.mean(axis=0))
     np.testing.assert_array_equal(std.x_std, X.std(axis=0))
     assert std.y_mean == float(y.mean()) and std.y_std == float(y.std())
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200])
+def test_standardization_keeps_underflowing_scales(scale):
+    # np.std squares the deviations, which underflow to 0 below about 1e-154
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((40, 2)) * scale
+    y = (np.sin(X[:, 0] / scale) + 0.1 * rng.standard_normal(40)) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        std = fit_standardization(X, y)
+    np.testing.assert_allclose(std.apply_x(X).std(axis=0), 1.0, rtol=1e-12)
+    np.testing.assert_allclose(std.apply_y(y).std(), 1.0, rtol=1e-12)
+    assert np.all(std.x_std < 1e-150) and std.y_std < 1e-150

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -302,3 +304,69 @@ def test_validation_errors():
         ft.KernelSpec("nope", 3, 1, 4, np.zeros(3))
     with pytest.raises(DimensionError):
         ft.KernelSpec("frbf", 3, 1, 4, np.zeros(7))
+
+
+LOG_FIELDS = [
+    (family, kind, q)
+    for family, (shared, per_group) in ft._LAYOUTS.items()
+    for fields, q in ((shared, None), (per_group, 0))
+    for kind, _ in fields
+    if kind in ft._LOG_KINDS
+]
+
+
+@pytest.mark.parametrize("family,kind,q", LOG_FIELDS, ids=lambda v: str(v))
+def test_filled_checks_and_logs_every_log_stored_field(family, kind, q):
+    size = ft.KernelSpec.template(family, 3, 1, 4).field(kind, q).size
+    spec = ft.KernelSpec._filled(family, 3, 1, 4, [(kind, q, np.full(size, 2.0))])
+    np.testing.assert_array_equal(spec.field(kind, q), np.log(np.full(size, 2.0)))
+    for bad in (0.0, -1.0):
+        values = np.ones(size)
+        values[-1] = bad
+        with pytest.raises(DomainError, match=f"^{family} {kind} needs positive values"):
+            ft.KernelSpec._filled(family, 3, 1, 4, [(kind, q, values)])
+    with pytest.raises(DimensionError, match=f"{family} {kind} needs {size} values"):
+        ft.KernelSpec._filled(family, 3, 1, 4, [(kind, q, np.ones(size + 1))])
+
+
+def natural_arguments():
+    """Name -> build(value): one constructor with one natural argument set to value."""
+    stacks = ft.build_stacks(ft.KernelSpec.template("fsgbard", 3, 1, 4), seed=0)
+    ard = {
+        "fard": lambda ell, a: ft.KernelSpec.fard(3, 4, ell, a),
+        "fsard": lambda ell, a: ft.KernelSpec.fsard(3, 1, 4, ell, a),
+        "fsgbard": lambda ell, a: ft.KernelSpec.fsgbard_from_stacks(3, 1, 4, ell, stacks, a),
+    }
+
+    def gm(weight=0.9, sd=0.5):
+        component = GmComponent(np.array([0.4, -1.0]), np.array([0.8, sd]), weight)
+        return ft.KernelSpec.gm(2, 4, [component])
+
+    def pwl(weight=0.8, ell=1.6, mu=0.4, sigma=1.2):
+        # HatSpectrum refuses a width <= 0 itself; pwl reads only mu and sigma
+        hat = SimpleNamespace(mu=mu, sigma=sigma)
+        return ft.KernelSpec.pwl(2, 4, [(weight, np.array([1.0, ell]), hat)])
+
+    builds = {
+        "frbf lengthscale": lambda v: ft.KernelSpec.frbf(3, 4, lengthscale=v),
+        "frbf amplitude": lambda v: ft.KernelSpec.frbf(3, 4, amplitude=v),
+        "gm weight": lambda v: gm(weight=v),
+        "gm sigma_diag": lambda v: gm(sd=v),
+        "pwl weight": lambda v: pwl(weight=v),
+        "pwl lengthscale": lambda v: pwl(ell=v),
+        "pwl hat mu": lambda v: pwl(mu=v),
+        "pwl hat sigma": lambda v: pwl(sigma=v),
+    }
+    for family, make in ard.items():
+        builds[f"{family} lengthscale"] = lambda v, make=make: make(np.array([0.7, v, 2.3]), 1.2)
+        builds[f"{family} amplitude"] = lambda v, make=make: make(np.array([0.7, 1.1, 2.3]), v)
+    return builds
+
+
+@pytest.mark.parametrize("name", sorted(natural_arguments()))
+def test_constructors_reject_non_positive_natural_values(name):
+    build = natural_arguments()[name]
+    build(1.0)
+    for bad in (0.0, -1.0):
+        with pytest.raises(DomainError):
+            build(bad)

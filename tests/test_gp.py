@@ -69,7 +69,7 @@ def test_core_pieces_match_dense_inverse(D, n, noise_var):
         "tr_Kinv": np.sum(1.0 / evals),
     }
     for mode in ("feature", "data"):
-        got = _core(W, y, noise_var, mode, pieces=True)
+        got = _core(W, y, noise_var, mode)
         for name, ref in want.items():
             err = np.max(np.abs(got[name] - ref)) / np.max(np.abs(ref))
             assert err <= 1e-8, (mode, name, err)

@@ -1,6 +1,7 @@
 """Smoke tests for the scripts under scripts/: each main() runs on small inputs."""
 
 import importlib.util
+import json
 import re
 import sys
 from pathlib import Path
@@ -70,3 +71,18 @@ def test_make_datasets_writes_the_bundled_tables(capsys, monkeypatch, tmp_path):
         assert line.startswith(f"{name}: n={n} d={d}")
         ds = load_csv(tmp_path / name)
         assert (ds.n, ds.d, ds.n_rejected) == (n, d, 0)
+
+
+def test_eval_timing_prints_an_evaluation_and_a_co_matrix_time_per_shape(capsys, monkeypatch):
+    timing = _load("eval_timing")
+    monkeypatch.setattr(timing, "SHAPES", (("frbf", 1, 8), ("frbf", 1, 1280)))
+    monkeypatch.setattr(sys, "argv", ["eval_timing.py", "--repeats", "1"])
+    timing.main()
+    report = json.loads(capsys.readouterr().out)
+    names = ["frbf 1x8", "frbf 1x1280"]
+    assert list(report["eval_ms"]) == list(report["co_matrix_ms"]) == names
+    assert [report["eval_ms"][name]["form"] for name in names] == ["feature", "data"]
+    for name in names:
+        assert report["eval_ms"][name]["ms"] > 0
+        co = report["co_matrix_ms"][name]
+        assert isinstance(co, float) and co > 0

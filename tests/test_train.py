@@ -63,6 +63,17 @@ def test_pair_distances_shape_and_guards():
         sample_pair_distances(np.zeros((40, 2)), rng)
 
 
+def test_pair_distances_look_past_duplicate_rows():
+    # 12 rows, 11 of them equal: the 3 sampled pairs are often all duplicates
+    X = np.zeros((12, 2))
+    X[5, 1] = 1.0
+    for seed in range(20):
+        dists = sample_pair_distances(X, np.random.default_rng(seed))
+        assert np.any(dists > 0) and np.all(np.isin(dists, [0.0, 1.0]))
+    with pytest.raises(InsufficientDataError, match="all input rows are identical"):
+        sample_pair_distances(np.ones((12, 2)), np.random.default_rng(0))
+
+
 def test_lengthscale_candidates_monotone():
     rng = np.random.default_rng(1)
     X = rng.uniform(0, 5, size=(400, 2))
