@@ -22,7 +22,7 @@ import scipy
 
 import ffgp.features as ft
 from ffgp.data import fit_standardization, make_surrogate
-from ffgp.gp import _co_matrix, _gram, chol_with_jitter, nlml_value_and_grad, weighted_features
+from ffgp.gp import _co_matrix, _form, _gram, chol_with_jitter, nlml_value_and_grad, weighted_features
 from ffgp.train import TrainConfig, restart_starts
 
 ROWS = 1350
@@ -66,7 +66,7 @@ def weighted(spec, stacks, X, h):
 
 def co_matrix_ms(W, noise_var, repeats):
     """_co_matrix in the form the evaluation picks, from a fresh factor each call."""
-    side = 0 if W.shape[0] < W.shape[1] else 1
+    side = 0 if _form(*W.shape) == "feature" else 1
     L, _ = chol_with_jitter(_gram(W, noise_var, trans=side))
     fresh = []  # _co_matrix consumes its factor, so each call gets an untimed copy
 
@@ -88,7 +88,7 @@ def main():
         name = f"{family} {Q}x{m}"
         evals[name] = {
             "D": spec.n_rows,
-            "form": "feature" if spec.n_rows < ROWS else "data",
+            "form": _form(spec.n_rows, ROWS),
             "ms": median_ms(lambda: nlml_value_and_grad(spec, stacks, X, y, h), args.repeats),
         }
         co[name] = co_matrix_ms(*weighted(spec, stacks, X, h), args.repeats)

@@ -1,16 +1,17 @@
 """Design matrices for the six kernel families, with exact feature derivatives.
 
-_LAYOUTS below is the one statement of each family's packed feature
+A family is its _LAYOUTS row below, the one statement of its packed feature
 parameters (the noise log-std goes first in the full hyper vector, ahead of
 them): counts, offsets, the accessors, param_info and the gradient slots all
-read it.
+read it, and features, stacks and gradients dispatch on the field kinds a
+row holds, never on the family's name.
 
-Positive parameters live in log space.  GM means, and the G/B diagonals of the
-relaxed family, are raw (G and B are signed: G is a normal draw and B a
-relaxed sign, so log space cannot represent them).  The scaling diagonal S is
-packed as a log *multiplier* against the sampled stack radii with initial
-value 0: exp(0.0) == 1.0 exactly, so a freshly initialized fsard/fsgbard spec
-reproduces fard features bit for bit, which a log of the raw radii could not
+Positive parameters live in log space.  The mu shifts and the g/b diagonals
+are raw (G and B are signed: G is a normal draw and B a relaxed sign, so log
+space cannot represent them).  The scaling diagonal S is packed as a log
+*multiplier* (s_mult) against the sampled stack radii with initial value 0:
+exp(0.0) == 1.0 exactly, so a freshly initialized s_mult leaves the stack's
+features bit for bit as they were, which a log of the raw radii could not
 guarantee (exp(log(s)) may differ from s in the last ulp).
 
 Each evaluation builds a group's Fastfood operator once, in compute_features;
@@ -49,6 +50,18 @@ FAMILIES = tuple(_LAYOUTS)
 _LOG_KINDS = frozenset({"log_a", "log_ell", "log_v", "log_sd", "hat_mu", "hat_sigma"})
 
 
+def _has(family: str, kind: str) -> bool:
+    """Whether the family's layout has a field of that kind."""
+    if family not in _LAYOUTS:
+        raise DomainError(f"unknown family {family!r}")
+    return any(k == kind for fields in _LAYOUTS[family] for k, _ in fields)
+
+
+def _scope(family: str, kind: str, q: int):
+    """The group that field() takes for kind: None for a shared field, else q."""
+    return q if any(k == kind for k, _ in _LAYOUTS[family][1]) else None
+
+
 def _field_size(length, d_in: int, m_realized: int) -> int:
     return {None: 1, 1: 1, "d": d_in, "m": m_realized}[length]
 
@@ -69,8 +82,9 @@ def hyper_count(family: str, d_in: int, Q: int, m_realized: int) -> int:
 
 
 def feature_rows(family: str, Q: int, m_realized: int) -> int:
-    """Design-matrix rows D: a cos and a sin row per frequency, four for gm."""
-    return Q * (4 if family == "gm" else 2) * m_realized
+    """Design-matrix rows D: a cos and a sin row per frequency, four where a
+    mu phase splits each into a +/- pair."""
+    return Q * (4 if _has(family, "mu") else 2) * m_realized
 
 
 @dataclass(frozen=True)
@@ -164,17 +178,8 @@ class KernelSpec:
 
     @property
     def lengthscales(self) -> np.ndarray:
-        # frbf stores one lengthscale for every input
+        # a one-entry log_ell field stands for every input
         return np.exp(self.field("log_ell")) * np.ones(self.d_in)
-
-    def s_multipliers(self, q: int) -> np.ndarray:
-        return self.field("s_mult", q)
-
-    def g_raw(self, q: int) -> np.ndarray:
-        return self.field("g", q)
-
-    def b_raw(self, q: int) -> np.ndarray:
-        return self.field("b", q)
 
     def component(self, q: int) -> GmComponent:
         return GmComponent(
@@ -183,18 +188,11 @@ class KernelSpec:
             weight=float(np.exp(self.field("log_v", q)[0])),
         )
 
-    @property
-    def components(self) -> list:
-        return [self.component(q) for q in range(self.Q)]
-
     def hat(self, q: int) -> HatSpectrum:
         return HatSpectrum(
             mu=float(np.exp(self.field("hat_mu", q)[0])),
             sigma=float(np.exp(self.field("hat_sigma", q)[0])),
         )
-
-    def group_lengthscales(self, q: int) -> np.ndarray:
-        return np.exp(self.field("log_ell", q))
 
     def group_weights(self) -> np.ndarray:
         """v_q per group; the single F-family amplitude splits as a/sqrt(Q)."""
@@ -318,21 +316,21 @@ def unpack_hyper(spec: KernelSpec, hyper: np.ndarray):
 def build_stacks(spec: KernelSpec, seed: int) -> list:
     """One frozen stack per group, children of one master seed.
 
-    F-families and GM draw chi(d_pad) radii at iid quantiles; PWL uses
-    systematic (jittered-grid) quantiles through the group's hat spectrum,
-    by hat_radii as the features use it.  The PWL radii stored here are a
-    snapshot; feature computation always recomputes radii from
-    uniform_draws and the current hat parameters.
+    A family with hat kinds draws its radii at systematic (jittered-grid)
+    quantiles through the group's hat spectrum, by hat_radii as the features
+    use it; every other family draws chi(d_pad) radii at iid quantiles.  The
+    hat radii stored here are a snapshot; feature computation always
+    recomputes radii from uniform_draws and the current hat parameters.
     """
     geo = spec.geometry
+    hat = _has(spec.family, "hat_mu")
     stacks = []
     for q in range(spec.Q):
-        if spec.family == "pwl":
-            hat = spec.hat(q)
-            sampler = lambda u, _h=hat: hat_radii(_h.mu, _h.sigma, u)
+        if hat:
+            sampler = lambda u, _h=spec.hat(q): hat_radii(_h.mu, _h.sigma, u)
         else:
             sampler = lambda u, _d=geo.d_pad: sample_chi_radii(u, _d)
-        stacks.append(build_stack((seed, q), geo, sampler, systematic=spec.family == "pwl"))
+        stacks.append(build_stack((seed, q), geo, sampler, systematic=hat))
     return stacks
 
 
@@ -351,33 +349,31 @@ class DesignMatrix:
     operators: tuple = ()
 
 
-def _group_overrides(spec: KernelSpec, stacks, q: int):
-    """Effective (s, g, b) diagonals for group q, None where the stack's own apply."""
+def _group_diagonals(spec: KernelSpec, stacks, q: int):
+    """Effective (s, g, b) diagonals of group q: the stack's own, with each
+    one the family learns put in its place."""
     stack: FastfoodStack = stacks[q]
-    if spec.family == "fsard":
-        return stack.s_radii * np.exp(spec.s_multipliers(q)), None, None
-    if spec.family == "fsgbard":
-        return (
-            stack.s_radii * np.exp(spec.s_multipliers(q)),
-            spec.g_raw(q),
-            spec.b_raw(q),
-        )
-    if spec.family == "pwl":
+    fam = spec.family
+    s, g, b = stack.s_radii, stack.g_diag, stack.b_diag
+    if _has(fam, "s_mult"):
+        s = s * np.exp(spec.field("s_mult", q))
+    if _has(fam, "hat_mu"):
         hat = spec.hat(q)
         radii = hat_radii(hat.mu, hat.sigma, stack.uniform_draws)
-        d = stack.geometry.d_pad
-        return radii / np.repeat(stack.g_frob_norms, d), None, None
-    return None, None, None
+        s = radii / np.repeat(stack.g_frob_norms, stack.geometry.d_pad)
+    if _has(fam, "g"):
+        g = spec.field("g", q)
+    if _has(fam, "b"):
+        b = spec.field("b", q)
+    return s, g, b
 
 
 def _scaled_inputs(spec: KernelSpec, q: int, X: np.ndarray) -> np.ndarray:
-    if spec.family in ("frbf", "fard", "fsard", "fsgbard"):
-        return X / spec.lengthscales
-    if spec.family == "gm":
-        return X * spec.component(q).sigma_diag
-    if spec.family == "pwl":
-        return X / spec.group_lengthscales(q)
-    raise DomainError(spec.family)
+    """xs_q: X divided by the lengthscales (log_ell) or times the widths (log_sd)."""
+    fam = spec.family
+    if _has(fam, "log_ell"):
+        return X / np.exp(spec.field("log_ell", _scope(fam, "log_ell", q)))
+    return X * np.exp(spec.field("log_sd", q))
 
 
 def compute_features(spec: KernelSpec, stacks, X: np.ndarray) -> DesignMatrix:
@@ -402,14 +398,15 @@ def compute_features(spec: KernelSpec, stacks, X: np.ndarray) -> DesignMatrix:
     rpg = spec.rows_per_group
     data = np.empty((spec.n_rows, n), order="F")
     eye = np.eye(spec.d_in)
+    phase = _has(spec.family, "mu")
     operators = []
     for q in range(spec.Q):
-        s, g, b = _group_overrides(spec, stacks, q)
+        s, g, b = _group_diagonals(spec, stacks, q)
         operators.append(project(stacks[q], eye, s_diag=s, g_diag=g, b_diag=b))
         xi = dgemm(1.0, operators[q].T, _scaled_inputs(spec, q, X).T)  # (m, n)
         base = q * rpg
-        if spec.family == "gm":
-            zeta = matvec(X, spec.component(q).mu)  # (n,)
+        if phase:
+            zeta = matvec(X, spec.field("mu", q))  # (n,)
             plus = xi + zeta
             minus = xi - zeta
             np.sin(plus, out=data[base : base + m])
@@ -425,13 +422,12 @@ def compute_features(spec: KernelSpec, stacks, X: np.ndarray) -> DesignMatrix:
 def feature_weight_matrix(spec: KernelSpec) -> np.ndarray:
     """Diagonal of V as a flat (D_feat,) array.
 
-    cos/sin families: v_q^2 / m' over 2m' rows; GM: v_q^2 / (2m') over 4m'
-    rows.  Either way k(x, x) = sum_q v_q^2 once the trig identities collapse.
+    v_q^2 / (rows_per_group / 2) on each of group q's rows: v_q^2 / m' over
+    2m' cos/sin rows, v_q^2 / (2m') over the 4m' rows of a mu phase.  Either
+    way k(x, x) = sum_q v_q^2 once the trig identities collapse.
     """
-    weights = spec.group_weights()
-    m = spec.m_realized
-    per_row = weights**2 / (2 * m) if spec.family == "gm" else weights**2 / m
-    return np.repeat(per_row, spec.rows_per_group)
+    rpg = spec.rows_per_group
+    return np.repeat(spec.group_weights() ** 2 / (rpg // 2), rpg)
 
 
 # ---- derivatives ----------------------------------------------------------
@@ -456,12 +452,12 @@ def feature_param_gradients(
     through the weight diagonal).  Per group, the trig chain rule gives
     T = dL/dxi (m', n, point-major like phi.data), and every parameter that
     moves xi = op^T xs^T enters through C = (T xs)^T (d_in, m') and the
-    operator phi.operators[q]: a scale on input column j (log-lengthscales,
-    gm log-sigma) gives row sum j of C * op, a scale on frequency k (S
-    multipliers, the PWL hat) its column sum k, which equals sum_n T * xi.
-    The fsgbard G and B transforms run on C as well, so no stack is applied
-    to the n data rows here.  The products run in scipy's BLAS, as every
-    product of an evaluation does (see ffgp.gp).
+    operator phi.operators[q]: a scale on input column j (log_ell, log_sd)
+    gives row sum j of C * op, a scale on frequency k (s_mult, the hat
+    kinds) its column sum k, which equals sum_n T * xi.  The G and B
+    transforms run on C as well, so no stack is applied to the n data rows
+    here.  The products run in scipy's BLAS, as every product of an
+    evaluation does (see ffgp.gp).
     """
     X = np.asarray(X, dtype=float)
     n, d_in, m = X.shape[0], spec.d_in, spec.m_realized
@@ -471,50 +467,48 @@ def feature_param_gradients(
     fam = spec.family
 
     for q in range(spec.Q):
-        base = q * rpg
-        op = phi.operators[q]
-        xs = _scaled_inputs(spec, q, X)
-
-        if fam == "gm":
-            sin_p, cos_p, sin_m, cos_m = phi.data[base : base + rpg].reshape(4, m, n)
-            Msp, Mcp, Msm, Mcm = M[base : base + rpg].reshape(4, m, n)
+        rows = slice(q * rpg, (q + 1) * rpg)
+        if _has(fam, "mu"):
+            sin_p, cos_p, sin_m, cos_m = phi.data[rows].reshape(4, m, n)
+            Msp, Mcp, Msm, Mcm = M[rows].reshape(4, m, n)
             t_plus = Msp * cos_p - Mcp * sin_p  # (m, n)
             t_minus = Msm * cos_m - Mcm * sin_m
-            # mu_q: dP = +x_j, dM = -x_j
+            # the phase moves the + rows by +x_j and the - rows by -x_j
             slot("mu", q)[:] = matvec(X.T, (t_plus - t_minus).sum(axis=0))
-            # log sigma_diag: dxs_j = +xs_j
-            Cop = dgemm(1.0, t_plus + t_minus, xs.T, trans_b=1).T * op
-            slot("log_sd", q)[:] = Cop.sum(axis=1)
-            continue
-
-        cos_rows, sin_rows = phi.data[base : base + rpg].reshape(2, m, n)
-        Mc, Ms = M[base : base + rpg].reshape(2, m, n)
-        T = Ms * cos_rows - Mc * sin_rows  # (m, n)
+            T = t_plus + t_minus  # xi moves both
+        else:
+            cos_rows, sin_rows = phi.data[rows].reshape(2, m, n)
+            Mc, Ms = M[rows].reshape(2, m, n)
+            T = Ms * cos_rows - Mc * sin_rows  # (m, n)
         # every xi-moving derivative is linear in C; the C-order (d_in, m)
         # transpose of T xs is what fwht_inplace needs below
-        C = dgemm(1.0, T, xs.T, trans_b=1).T
-        Cop = C * op
+        C = dgemm(1.0, T, _scaled_inputs(spec, q, X).T, trans_b=1).T
+        Cop = C * phi.operators[q]
 
-        if fam == "pwl":
+        if _has(fam, "log_sd"):  # xs_j = x_j * exp(theta_j)
+            slot("log_sd", q)[:] = Cop.sum(axis=1)
+        if _has(fam, "log_ell"):  # xs_j = x_j / exp(theta_j)
+            scope = _scope(fam, "log_ell", q)
+            ell = slot("log_ell", scope)
+            per_dim = -Cop.sum(axis=1)
+            value = per_dim.sum() if ell.size == 1 else per_dim  # one entry for every input
+            if scope is None:  # shared by every group, so summed over them
+                ell += value
+            else:
+                ell[:] = value
+        if _has(fam, "s_mult"):  # S_k scaled by exp(theta_k)
+            slot("s_mult", q)[:] = Cop.sum(axis=0)
+        if _has(fam, "hat_mu"):  # S_k = r_k / ||G||_F, so dS_k / S_k = dr_k / r_k
+            txi = Cop.sum(axis=0)  # sum_n T * xi
             u = stacks[q].uniform_draws
             hat = spec.hat(q)
             r = hat_radii(hat.mu, hat.sigma, u)
-            txi = Cop.sum(axis=0)  # sum_n T * xi
-            slot("log_ell", q)[:] = -Cop.sum(axis=1)
             slot("hat_mu", q)[:] = float(np.sum(txi * (hat.mu / r)))
             slot("hat_sigma", q)[:] = float(np.sum(txi * (hat.sigma * hat_unit_quantile(u) / r)))
-            continue
-
-        # F families: the log-lengthscales are shared by every group
-        per_dim = -Cop.sum(axis=1)
-        ell = slot("log_ell")
-        ell += per_dim.sum() if ell.size == 1 else per_dim  # frbf: one shared lengthscale
-        if fam in ("fsard", "fsgbard"):
-            slot("s_mult", q)[:] = Cop.sum(axis=0)
-        if fam == "fsgbard":
+        if _has(fam, "g"):  # G and B (a layout with g has b): the butterfly's adjoint
             stack = stacks[q]
             geo = stack.geometry
-            s_eff, g_eff, b_eff = _group_overrides(spec, stacks, q)
+            s_eff, g_eff, b_eff = _group_diagonals(spec, stacks, q)
             d = geo.d_pad
             scale = 1.0 / np.sqrt(d)
             g_grad, b_grad = slot("g", q), slot("b", q)

@@ -89,8 +89,11 @@ def chol_with_jitter(a: np.ndarray):
 
 
 def weighted_features(phi, weight_diag: np.ndarray) -> np.ndarray:
-    """W = V^{1/2} Phi; DomainError unless every entry is finite."""
+    """W = V^{1/2} Phi; DimensionError without feature rows, DomainError
+    unless every entry is finite."""
     data = _as_data(phi)
+    if data.shape[0] == 0:
+        raise DimensionError("phi has no feature rows")
     w = np.asarray(weight_diag, dtype=float)
     if w.shape != (data.shape[0],):
         raise DimensionError(f"weight_diag must have length {data.shape[0]}, got {w.shape}")
@@ -129,6 +132,11 @@ def _co_matrix(L: np.ndarray, W: np.ndarray, side: int) -> np.ndarray:
     return dtrmm(1.0, Linv, B, side=side, lower=1, trans_a=1 - side, overwrite_b=1)
 
 
+def _form(D: int, n: int) -> str:
+    """The form "auto" picks: the feature form below D = n, else the data form."""
+    return "feature" if D < n else "data"
+
+
 def _core(W: np.ndarray, y: np.ndarray, noise_var: float, mode: str):
     """NLML and its gradient ingredients in the chosen form.
 
@@ -141,7 +149,7 @@ def _core(W: np.ndarray, y: np.ndarray, noise_var: float, mode: str):
     """
     D, n = W.shape
     if mode == "auto":
-        mode = "feature" if D < n else "data"
+        mode = _form(D, n)
     if mode == "feature":
         L, Wy, u = _feature_solve(W, y, noise_var)
         logdet = 2.0 * np.sum(np.log(np.diag(L))) + (n - D) * np.log(noise_var)

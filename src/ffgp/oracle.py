@@ -18,7 +18,7 @@ from scipy.linalg import cholesky, hadamard, solve_triangular
 
 from .errors import DimensionError, DomainError, IllConditionedError
 from .fastfood import project
-from .features import KernelSpec, _group_overrides, _scaled_inputs, param_info
+from .features import KernelSpec, _group_diagonals, _scaled_inputs, param_info
 from .hadamard import PadGeometry, fwht_inplace
 from .spectra import hat_radii, hat_unit_quantile
 
@@ -186,7 +186,7 @@ def _pad_cols(X: np.ndarray, geo: PadGeometry) -> np.ndarray:
 
 
 def _group_xi(spec: KernelSpec, stacks, q: int, X: np.ndarray) -> np.ndarray:
-    s, g, b = _group_overrides(spec, stacks, q)
+    s, g, b = _group_diagonals(spec, stacks, q)
     return project(stacks[q], _scaled_inputs(spec, q, X), s_diag=s, g_diag=g, b_diag=b)
 
 
@@ -195,10 +195,7 @@ def _dxi_for_param(spec, stacks, q, X, kind, j, xi):
     stack = stacks[q]
     geo = stack.geometry
     d = geo.d_pad
-    s_eff, g_eff, b_eff = _group_overrides(spec, stacks, q)
-    s_all = stack.s_radii if s_eff is None else s_eff
-    g_all = stack.g_diag if g_eff is None else g_eff
-    b_all = stack.b_diag if b_eff is None else b_eff
+    s_eff, g_eff, b_eff = _group_diagonals(spec, stacks, q)
     xs = _scaled_inputs(spec, q, X)
 
     if kind in ("log_ell", "log_sd"):
@@ -229,14 +226,14 @@ def _dxi_for_param(spec, stacks, q, X, kind, j, xi):
     fwht_inplace(e)  # column jl of H
     dxi = np.zeros((X.shape[0], geo.m_total))
     if kind == "g":
-        v = xp * b_all[lo : lo + d]
+        v = xp * b_eff[lo : lo + d]
         fwht_inplace(v)
         v3 = v[:, stack.perms[blk]]
-        dxi[:, lo : lo + d] = np.outer(v3[:, jl], s_all[lo : lo + d] * e / np.sqrt(d))
+        dxi[:, lo : lo + d] = np.outer(v3[:, jl], s_eff[lo : lo + d] * e / np.sqrt(d))
     else:
-        c = g_all[lo : lo + d] * e[stack.perms[blk]]
+        c = g_eff[lo : lo + d] * e[stack.perms[blk]]
         fwht_inplace(c)
-        c *= s_all[lo : lo + d] / np.sqrt(d)
+        c *= s_eff[lo : lo + d] / np.sqrt(d)
         dxi[:, lo : lo + d] = np.outer(xp[:, jl], c)
     return dxi
 

@@ -15,7 +15,6 @@ its first features are FARD's.
 """
 
 import math
-import warnings
 
 import numpy as np
 from dataclasses import dataclass
@@ -111,10 +110,7 @@ def init_ard(X, rng) -> np.ndarray:
     ranges = X.max(axis=0) - X.min(axis=0)
     u = rng.uniform(0.4, 0.8, size=d)
     ell = u * ranges * math.sqrt(d)
-    flat = ranges <= 0
-    if np.any(flat):
-        warnings.warn("constant input column(s); lengthscale fallback 1.0")
-        ell[flat] = 1.0
+    ell[ranges <= 0] = 1.0
     return ell
 
 

@@ -539,6 +539,37 @@ def test_underflowing_scales_train_like_unit_scales(capsys, tmp_path, scaled):
     assert code == 0 and "\tnlml=-10.546889\t" in stdout
 
 
+def _train_recording_warnings(capsys, argv):
+    """run(capsys, ["train"] + argv), plus every warning it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # each would be a stderr line of the CLI
+        code, stdout, stderr = run(capsys, ["train"] + argv)
+    return code, stdout, stderr, [str(w.message) for w in caught]
+
+
+def test_constant_column_trains_with_only_the_timing_on_stderr(capsys, tmp_path):
+    # a constant input column takes lengthscale 1.0 without a word
+    X = np.column_stack([np.linspace(-2.0, 2.0, 40), np.full(40, 3.0)])
+    path = tmp_path / "t.csv"
+    save_csv(path, X, np.sin(X[:, 0]))
+    code, _, stderr, caught = _train_recording_warnings(
+        capsys, ["--data", str(path), "--kernel", "fard", "--m", "8",
+                 "--out", str(tmp_path / "m.bin")] + FAST)
+    assert code == 0 and caught == []
+    assert re.fullmatch(r"train_s=\d+\.\d\d\n", stderr), stderr
+
+
+def test_identical_rows_are_one_error_line(capsys, tmp_path):
+    path, model = tmp_path / "t.csv", tmp_path / "m.bin"
+    save_csv(path, np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([0.5, 0.7]))
+    code, stdout, stderr, caught = _train_recording_warnings(
+        capsys, ["--data", str(path), "--kernel", "pwl", "--Q", "1", "--m", "8",
+                 "--out", str(model)] + FAST)
+    assert code == 1 and stdout == "" and caught == []
+    assert stderr == "error: all input rows are identical\n"
+    assert not model.exists()
+
+
 def _cells(draw, n):
     """One CSV column of n cells: constant, at one scale, or at mixed scales,
     with scales from 1e-300 to 1e300."""
@@ -574,15 +605,17 @@ def test_train_on_hostile_csvs_fails_cleanly_or_predicts(tmp_path_factory, data)
         warnings.simplefilter("always")  # each would be a stderr line of the CLI
         code = main(["train", "--data", str(table), "--kernel", "gm", "--Q", "1", "--m", "8",
                      "--seed", "0", "--out", str(model)])
+    # DeprecationWarnings are hidden outside __main__; the CLI shows the rest
+    shown = [str(w.message) for w in caught if not issubclass(w.category, DeprecationWarning)]
+    lines = err.getvalue().splitlines() + shown
+    notes = [ln for ln in lines if re.fullmatch(r"rejected \d+ non-finite row\(s\)", ln)]
     if code != 0:
         assert code in (1, 2)
-        # DeprecationWarnings are hidden outside __main__; the CLI shows the rest
-        shown = [str(w.message) for w in caught if not issubclass(w.category, DeprecationWarning)]
-        lines = err.getvalue().splitlines() + shown
         errors = [ln for ln in lines if ln.startswith("error:")]
-        notes = [ln for ln in lines if re.fullmatch(r"rejected \d+ non-finite row\(s\)", ln)]
         assert len(errors) == 1 and len(errors) + len(notes) == len(lines), lines
         return
+    timings = [ln for ln in lines if re.fullmatch(r"train_s=\d+\.\d\d", ln)]
+    assert len(timings) == 1 and len(timings) + len(notes) == len(lines), lines
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         assert main(["predict", "--model", str(model), "--data", str(feats)]) == 0

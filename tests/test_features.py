@@ -133,7 +133,7 @@ def test_gm_gram_converges_to_closed_form():
     V = ft.feature_weight_matrix(spec)
     G = (V[:, None] * phi.data).T @ phi.data
     taus = X[:, None, :] - X[None, :, :]
-    K = gm_closed_form(spec.components, taus.reshape(-1, 2)).reshape(24, 24)
+    K = gm_closed_form([spec.component(q) for q in range(spec.Q)], taus.reshape(-1, 2)).reshape(24, 24)
     assert np.abs(G - K).mean() < 0.05
 
 
@@ -172,9 +172,9 @@ def natural_params(spec):
         for j in range(1 if fam == "frbf" else d):
             out[("log_ell", None, j)] = ell[j]
         for q in range(spec.Q if fam in ("fsard", "fsgbard") else 0):
-            slots = [("s_mult", spec.s_multipliers(q))]
+            slots = [("s_mult", spec.field("s_mult", q))]
             if fam == "fsgbard":
-                slots += [("g", spec.g_raw(q)), ("b", spec.b_raw(q))]
+                slots += [("g", spec.field("g", q)), ("b", spec.field("b", q))]
             for kind, values in slots:
                 assert values.shape == (spec.m_realized,)
                 out.update({(kind, q, k): v for k, v in enumerate(values)})
@@ -188,7 +188,7 @@ def natural_params(spec):
             out.update({("mu", q, j): comp.mu[j] for j in range(d)})
             out.update({("log_sd", q, j): comp.sigma_diag[j] for j in range(d)})
         else:
-            out.update({("log_ell", q, j): v for j, v in enumerate(spec.group_lengthscales(q))})
+            out.update({("log_ell", q, j): v for j, v in enumerate(np.exp(spec.field("log_ell", q)))})
             hat = spec.hat(q)
             out[("hat_mu", q, None)] = hat.mu
             out[("hat_sigma", q, None)] = hat.sigma
@@ -234,19 +234,19 @@ def test_accessors_return_what_the_constructors_were_given():
         assert zoo[fam].amplitude == pytest.approx(1.2)
         np.testing.assert_allclose(zoo[fam].lengthscales, [0.7, 1.1, 2.3])
     s = 0.1 * np.random.default_rng(42).standard_normal(2 * zoo["fsard"].m_realized)
-    np.testing.assert_array_equal(np.concatenate([zoo["fsard"].s_multipliers(q) for q in (0, 1)]), s)
+    np.testing.assert_array_equal(np.concatenate([zoo["fsard"].field("s_mult", q) for q in (0, 1)]), s)
     stacks0 = ft.build_stacks(ft.KernelSpec.template("fsgbard", 3, 2, 4), 17)
     for q, stack in enumerate(stacks0):
-        assert not np.any(zoo["fsgbard"].s_multipliers(q))
-        np.testing.assert_array_equal(zoo["fsgbard"].g_raw(q), stack.g_diag)
-        np.testing.assert_array_equal(zoo["fsgbard"].b_raw(q), stack.b_diag)
+        assert not np.any(zoo["fsgbard"].field("s_mult", q))
+        np.testing.assert_array_equal(zoo["fsgbard"].field("g", q), stack.g_diag)
+        np.testing.assert_array_equal(zoo["fsgbard"].field("b", q), stack.b_diag)
     comp = zoo["gm"].component(1)
     np.testing.assert_array_equal(comp.mu, [2.0, 0.1])
     np.testing.assert_allclose(comp.sigma_diag, [0.3, 1.4])
     assert comp.weight == pytest.approx(0.5)
     pwl = zoo["pwl"]
     np.testing.assert_allclose(pwl.group_weights(), [0.8, 0.5])
-    np.testing.assert_allclose(pwl.group_lengthscales(1), [0.6, 2.0])
+    np.testing.assert_allclose(np.exp(pwl.field("log_ell", 1)), [0.6, 2.0])
     assert (pwl.hat(1).mu, pwl.hat(1).sigma) == pytest.approx((1.1, 0.5))
 
 
@@ -272,10 +272,18 @@ def test_feature_jacobian_matches_fd(family):
         assert np.abs(J - J_fd).max() < 2e-6 * max(1.0, scale), (family, i)
 
 
-@pytest.mark.parametrize("family", ft.FAMILIES)
-def test_feature_param_gradients_contract_jacobian(family):
-    # <M, dPhi/dtheta_i> for every i at once must match the explicit jacobians
+@pytest.mark.parametrize(
+    "family, Q",
+    [(family, None) for family in ft.FAMILIES] + [("frbf", 2), ("fard", 2)],
+    ids=list(ft.FAMILIES) + ["frbf-Q2", "fard-Q2"],
+)
+def test_feature_param_gradients_contract_jacobian(family, Q):
+    # <M, dPhi/dtheta_i> for every i at once must match the explicit jacobians;
+    # Q=2 sums the shared lengthscales' contractions over two groups
     spec = spec_zoo()[family]
+    if Q is not None:
+        spec = ft.KernelSpec.template(family, 3, Q, 4)
+        spec = spec.with_params(spec.params + 0.2 * np.random.default_rng(5).standard_normal(spec.n_params))
     stacks = ft.build_stacks(spec, 13)
     rng = np.random.default_rng(3)
     X = rng.standard_normal((5, spec.d_in))
@@ -302,6 +310,8 @@ def test_validation_errors():
         ft.KernelSpec.gm(3, 4, [GmComponent(mu=np.zeros(2), sigma_diag=np.ones(2), weight=1.0)])
     with pytest.raises(DomainError):
         ft.KernelSpec("nope", 3, 1, 4, np.zeros(3))
+    with pytest.raises(DomainError):  # not a KeyError from the layout table
+        ft.feature_rows("nope", 1, 4)
     with pytest.raises(DimensionError):
         ft.KernelSpec("frbf", 3, 1, 4, np.zeros(7))
 

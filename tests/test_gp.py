@@ -5,6 +5,7 @@ import ast
 import inspect
 import math
 import textwrap
+import zlib
 
 import numpy as np
 import pytest
@@ -234,6 +235,18 @@ def test_validation_errors():
         predict(state, np.zeros((6, 3)))
 
 
+@pytest.mark.parametrize("call", [
+    lambda phi, v, y: neg_log_marginal_likelihood(phi, v, y, 0.1),
+    lambda phi, v, y: neg_log_marginal_likelihood(phi, v, y, 0.1, mode="data"),
+    lambda phi, v, y: fit_posterior(phi, v, y, 0.1),
+], ids=["feature", "data", "posterior"])
+def test_zero_feature_rows_are_a_dimension_error(call, capfd):
+    # caught before the first BLAS call, so OpenBLAS prints nothing either
+    with pytest.raises(DimensionError, match="no feature rows"):
+        call(np.zeros((0, 5)), np.zeros(0), np.arange(5.0))
+    assert capfd.readouterr().err == ""
+
+
 def fd_gradient(f, h, step=1e-5):
     g = np.zeros_like(h)
     for i in range(h.size):
@@ -244,16 +257,20 @@ def fd_gradient(f, h, step=1e-5):
     return g
 
 
-@pytest.mark.parametrize("family", ["frbf", "fard", "gm", "pwl"])
-def test_value_and_grad_vs_finite_differences(family):
-    rng = np.random.default_rng(hash(family) % 2**31)
+@pytest.mark.parametrize(
+    "family, Q",
+    [("frbf", 1), ("fard", 1), ("gm", 2), ("pwl", 1), ("frbf", 2), ("fard", 2)],
+    ids=["frbf", "fard", "gm", "pwl", "frbf-Q2", "fard-Q2"],  # Q2: lengthscales summed over groups
+)
+def test_value_and_grad_vs_finite_differences(family, Q):
+    rng = np.random.default_rng(zlib.crc32(family.encode()))
     d, n = 3, 30
     X = rng.standard_normal((n, d))
     y = rng.standard_normal(n)
     if family == "gm":
         comps = [
             ft.GmComponent(rng.normal(0, 0.5, d), rng.uniform(0.4, 1.2, d), 0.8)
-            for _ in range(2)
+            for _ in range(Q)
         ]
         spec = ft.KernelSpec.gm(d, 4, comps)
     elif family == "pwl":
@@ -263,7 +280,6 @@ def test_value_and_grad_vs_finite_differences(family):
             d, 4, [(0.9, rng.uniform(0.5, 2.0, d), HatSpectrum(mu=0.6, sigma=1.1))]
         )
     else:
-        Q = 1
         spec = ft.KernelSpec.template(family, d, Q, 8)
         spec = spec.with_params(spec.params + 0.1 * rng.standard_normal(spec.n_params))
     stacks = ft.build_stacks(spec, seed=3)
@@ -287,7 +303,7 @@ def test_auto_mode_picks_matching_form():
         phi, v, y = random_problem(n + D, n, D)
         auto = neg_log_marginal_likelihood(phi, v, y, 0.2, mode="auto")
         explicit = neg_log_marginal_likelihood(phi, v, y, 0.2, mode=expect)
-        assert auto == explicit
+        assert auto == explicit and gp._form(D, n) == expect
 
 
 @pytest.mark.parametrize("family", ft.FAMILIES)
