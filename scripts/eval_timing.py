@@ -3,10 +3,12 @@
 Times one NLML-plus-gradient evaluation (median of --repeats, after one
 warm-up) for the six baseline shapes of ROADMAP.md: the standardized
 surrogate set, first 1350 rows, d=5, at the restart-0 initialization that
-`ffgp.fit` starts from.  For the same shapes it times the co-matrix
-C = A^{-1} W = W K^{-1} alone: `ffgp.gp._co_matrix` (one `dtrtri` and two
-`dtrmm`), in the form the evaluation picks, from a fresh copy of the
-Cholesky factor the evaluation uses.
+`ffgp.fit` starts from.  For the same shapes and point it times two layers
+alone: the design matrix (`ffgp.features.compute_features`, as
+`features_ms`) and the co-matrix C = A^{-1} W = W K^{-1}
+(`ffgp.gp._co_matrix`: one `dtrtri` and two `dtrmm`, as `co_matrix_ms`),
+in the form the evaluation picks, from a fresh copy of the Cholesky factor
+the evaluation uses.
 
 Usage: PYTHONPATH=src python3 scripts/eval_timing.py [--repeats 7]
 """
@@ -82,7 +84,7 @@ def main():
     args = parser.parse_args()
     X, y = surrogate()
 
-    evals, co = {}, {}
+    evals, features, co = {}, {}, {}
     for family, Q, m in SHAPES:
         spec, stacks, h = restart0(family, Q, m, X, y)
         name = f"{family} {Q}x{m}"
@@ -91,6 +93,8 @@ def main():
             "form": _form(spec.n_rows, ROWS),
             "ms": median_ms(lambda: nlml_value_and_grad(spec, stacks, X, y, h), args.repeats),
         }
+        spec_h, _ = ft.unpack_hyper(spec, h)
+        features[name] = median_ms(lambda: ft.compute_features(spec_h, stacks, X), args.repeats)
         co[name] = co_matrix_ms(*weighted(spec, stacks, X, h), args.repeats)
 
     print(json.dumps({
@@ -100,6 +104,7 @@ def main():
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "eval_ms": evals,
+        "features_ms": features,
         "co_matrix_ms": co,
     }))
 

@@ -27,13 +27,13 @@ Every BLAS product of an evaluation (nlml_value_and_grad) and of a
 prediction runs in scipy's OpenBLAS: the features' and the feature
 gradient's GEMMs are `dgemm` (ffgp.features), the Grams `dsyrk` (lower
 triangle only, which is all the Cholesky reads), the mat-vecs `dgemv`
-(ffgp.blas.matvec), the inner products `ddot`, and the factor and solves
-scipy's LAPACK.  numpy and scipy each bundle their own OpenBLAS with its
-own thread pool; a numpy product between two scipy calls leaves numpy's
-threads spinning on the cores the next scipy call needs (and numpy's
-vector dot goes multithreaded above 10,000 entries).  The features are
-checked finite once, in weighted_features, so the LAPACK calls behind it
-skip their own scans.
+(ffgp.blas.matvec), the inner products `ddot`, the rank-one update `dger`,
+and the factor and solves scipy's LAPACK.  numpy and scipy each bundle
+their own OpenBLAS with its own thread pool; a numpy product between two
+scipy calls leaves numpy's threads spinning on the cores the next scipy
+call needs (and numpy's vector dot goes multithreaded above 10,000
+entries).  The features are checked finite once, in weighted_features, so
+the LAPACK calls behind it skip their own scans.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.linalg.blas import ddot, dsyrk, dtrmm
+from scipy.linalg.blas import ddot, dger, dsyrk, dtrmm
 from scipy.linalg.lapack import dtrtri
 
 from .blas import matvec
@@ -268,9 +268,9 @@ def nlml_value_and_grad(spec: KernelSpec, stacks, X, y, hyper, mode: str = "auto
     grad[0] = noise_var * (core["tr_Kinv"] - ddot(core["alpha"], core["alpha"]))
 
     # M = V^{1/2} (C - u alpha^T), built in place in C's point-major layout,
-    # which feature_param_gradients reads alongside phi.data
-    M = core["C"]
-    M -= np.outer(core["alpha"], core["u"]).T
+    # which feature_param_gradients reads alongside phi.data; the rank-one
+    # update is `dger`, with no D x n temporary
+    M = dger(-1.0, core["u"], core["alpha"], a=core["C"], overwrite_a=1)
     M *= np.sqrt(weight_diag)[:, None]
     grad[1:] = feature_param_gradients(spec_h, stacks, X, M, phi)
 

@@ -1,3 +1,6 @@
+import ast
+import inspect
+import textwrap
 from types import SimpleNamespace
 
 import numpy as np
@@ -146,16 +149,76 @@ def test_design_matrix_is_point_major_and_equals_transposed_writes(family):
     assert phi.data.flags.f_contiguous
     m, rpg = spec.m_realized, spec.rows_per_group
     ref = np.empty((spec.n_rows, X.shape[0]))
+
+    def sincos(x):  # the kernel compute_features runs, on a C-order (n, m) block
+        sin, cos = np.empty_like(x), np.empty_like(x)
+        ft._sincos(x, sin, cos)
+        return sin, cos
+
     for q in range(spec.Q):
         xi = ft._scaled_inputs(spec, q, X) @ phi.operators[q]
         if family == "gm":
             zeta = (X @ spec.component(q).mu)[:, None]
-            blocks = [np.sin(xi + zeta), np.cos(xi + zeta), np.sin(xi - zeta), np.cos(xi - zeta)]
+            blocks = [*sincos(xi + zeta), *sincos(xi - zeta)]
         else:
-            blocks = [np.cos(xi), np.sin(xi)]
+            blocks = sincos(xi)[::-1]
         for k, block in enumerate(blocks):
             ref[q * rpg + k * m : q * rpg + (k + 1) * m] = block.T
     np.testing.assert_array_equal(phi.data, ref)
+
+
+def sincos_fortran(x):
+    """_sincos of x into two row slices of one Fortran-order matrix, as
+    compute_features writes a group's trig blocks."""
+    m = x.shape[0]
+    data = np.empty((3 * m, x.shape[1]), order="F")
+    sin, cos = data[m : 2 * m], data[2 * m :]
+    ft._sincos(np.asfortranarray(x), sin, cos)
+    return sin, cos
+
+
+def test_sincos_matches_libm():
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(11)
+
+    def close_to_libm(x, sin, cos):
+        assert np.all(np.isfinite(sin)) and np.all(np.isfinite(cos))
+        return (np.abs(sin - np.sin(x)).max(initial=0.0) <= 2 * eps
+                and np.abs(cos - np.cos(x)).max(initial=0.0) <= 2 * eps)
+
+    for scale in 10.0 ** np.arange(-8, 301, 4):
+        x = scale * rng.standard_normal((300, 70))
+        sin, cos = sincos_fortran(x)
+        assert not sin.flags.contiguous  # strided row slices of a Fortran matrix
+        assert close_to_libm(x, sin, cos), scale
+    # the last value halves to the double nearest an odd multiple of pi/2,
+    # where |tan(x / 2)| is largest: 2.1e18
+    special = np.array([[0.0, -0.0, np.pi, -np.pi, np.pi / 2, 5e-324, 1.7e308, -1.7e308,
+                         np.ldexp(6381956970095103.0, 798)]])
+    assert close_to_libm(special, *sincos_fortran(special))
+    assert np.array_equal(np.signbit(sincos_fortran(special)[0][0, :2]), [False, True])  # sin(-0) = -0
+    # more rows than one chunk holds, no columns, one column, many chunks:
+    # the bits equal one call per column
+    for m, n in [(ft._SINCOS_CHUNK + 5, 3), (7, 0), (7, 1), (40, 1000)]:
+        x = 30.0 * rng.standard_normal((m, n))
+        sin, cos = sincos_fortran(x)
+        assert sin.shape == cos.shape == (m, n)
+        one_sin, one_cos = np.empty((m, n), order="F"), np.empty((m, n), order="F")
+        for j in range(n):
+            ft._sincos(x[:, j : j + 1], one_sin[:, j : j + 1], one_cos[:, j : j + 1])
+        np.testing.assert_array_equal(sin, one_sin)
+        np.testing.assert_array_equal(cos, one_cos)
+        assert close_to_libm(x, sin, cos), (m, n)
+
+
+def test_compute_features_calls_no_libm_trig():
+    # np.sin and np.cos run in scalar libm, several times slower than the
+    # SIMD tan _sincos builds both from, so every trig block goes through it
+    tree = ast.parse(textwrap.dedent(inspect.getsource(ft.compute_features)))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            assert name not in ("sin", "cos"), f"{name} at line {node.lineno}"
 
 
 def natural_params(spec):
@@ -165,7 +228,7 @@ def natural_params(spec):
     out = {}
     if fam in ("frbf", "fard", "fsard", "fsgbard"):
         out[("log_a", None, None)] = spec.amplitude
-        ell = spec.lengthscales
+        ell = np.exp(spec.field("log_ell")) * np.ones(d)  # one entry stands for every input
         assert ell.shape == (d,)
         if fam == "frbf":
             assert np.all(ell == ell[0])  # one shared lengthscale
@@ -229,10 +292,10 @@ def test_param_info_names_the_accessor_each_entry_moves(spec):
 def test_accessors_return_what_the_constructors_were_given():
     zoo = spec_zoo()
     assert zoo["frbf"].amplitude == pytest.approx(0.9)
-    np.testing.assert_allclose(zoo["frbf"].lengthscales, 1.3)
+    np.testing.assert_allclose(np.exp(zoo["frbf"].field("log_ell")), 1.3)
     for fam in ("fard", "fsard", "fsgbard"):
         assert zoo[fam].amplitude == pytest.approx(1.2)
-        np.testing.assert_allclose(zoo[fam].lengthscales, [0.7, 1.1, 2.3])
+        np.testing.assert_allclose(np.exp(zoo[fam].field("log_ell")), [0.7, 1.1, 2.3])
     s = 0.1 * np.random.default_rng(42).standard_normal(2 * zoo["fsard"].m_realized)
     np.testing.assert_array_equal(np.concatenate([zoo["fsard"].field("s_mult", q) for q in (0, 1)]), s)
     stacks0 = ft.build_stacks(ft.KernelSpec.template("fsgbard", 3, 2, 4), 17)

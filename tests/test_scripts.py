@@ -80,9 +80,10 @@ def test_eval_timing_prints_an_evaluation_and_a_co_matrix_time_per_shape(capsys,
     timing.main()
     report = json.loads(capsys.readouterr().out)
     names = ["frbf 1x8", "frbf 1x1280"]
-    assert list(report["eval_ms"]) == list(report["co_matrix_ms"]) == names
+    assert list(report["eval_ms"]) == list(report["features_ms"]) == list(report["co_matrix_ms"]) == names
     assert [report["eval_ms"][name]["form"] for name in names] == ["feature", "data"]
     for name in names:
         assert report["eval_ms"][name]["ms"] > 0
-        co = report["co_matrix_ms"][name]
-        assert isinstance(co, float) and co > 0
+        for layer in ("features_ms", "co_matrix_ms"):
+            ms = report[layer][name]
+            assert isinstance(ms, float) and ms > 0
