@@ -9,15 +9,24 @@ Two source trees that print the same lines compute the same numbers bit for
 bit, so a change meant to keep behaviour can show it by running this script
 on both.
 
+The bits depend on the BLAS thread count, so compare lines printed at the
+same count: the script prints the count of scipy's OpenBLAS on stderr
+(blas_threads=N, or unknown when none of the known symbols resolves), and
+OPENBLAS_NUM_THREADS fixes it.
+
 Usage: PYTHONPATH=src python3 scripts/digest.py
 """
 
+import ctypes
+import glob
 import hashlib
 import os
+import sys
 import tempfile
 from dataclasses import replace
 
 import numpy as np
+import scipy
 
 import ffgp.features as ft
 from ffgp.data import fit_standardization, make_surrogate
@@ -52,7 +61,26 @@ def family_digest(family, Q, m, X, y, std) -> str:
     return h.hexdigest()
 
 
+def blas_threads() -> str:
+    """The thread count of scipy's bundled OpenBLAS, whose symbol names
+    depend on the wheel; "unknown" when no known one resolves."""
+    libs = os.path.join(os.path.dirname(scipy.__file__), os.pardir, "scipy.libs", "*openblas*")
+    for path in sorted(glob.glob(libs)):
+        try:
+            lib = ctypes.CDLL(path)  # already loaded by scipy.linalg: the same handle
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return str(fn())
+    return "unknown"
+
+
 def main():
+    print(f"blas_threads={blas_threads()}", file=sys.stderr)
     X, y = make_surrogate()
     X, y = X[:ROWS], y[:ROWS]
     std = fit_standardization(X, y)

@@ -413,8 +413,8 @@ def compute_features(spec: KernelSpec, stacks, X: np.ndarray) -> DesignMatrix:
         blocks = [data[base + k * m : base + (k + 1) * m] for k in range(rpg // m)]
         if phase:  # sin+, cos+, sin-, cos-
             zeta = matvec(X, spec.field("mu", q))  # (n,)
-            _sincos(xi + zeta, blocks[0], blocks[1])
-            _sincos(xi - zeta, blocks[2], blocks[3])
+            _sincos(xi, blocks[0], blocks[1], shift=zeta)
+            _sincos(xi, blocks[2], blocks[3], shift=-zeta)
         else:  # cos, sin
             _sincos(xi, blocks[1], blocks[0])
     return DesignMatrix(data=data, operators=tuple(operators))
@@ -424,8 +424,12 @@ def compute_features(spec: KernelSpec, stacks, X: np.ndarray) -> DesignMatrix:
 _SINCOS_CHUNK = 8192
 
 
-def _sincos(x: np.ndarray, sin_out: np.ndarray, cos_out: np.ndarray) -> None:
+def _sincos(x: np.ndarray, sin_out: np.ndarray, cos_out: np.ndarray, shift=None) -> None:
     """sin(x) into sin_out and cos(x) into cos_out, from t = tan(x / 2).
+
+    With a per-column shift (n,), the angle is x + shift, added chunk by
+    chunk, so no (m, n) sum is formed; the bits equal those of
+    _sincos(x + shift), and a shift of -zeta gives those of x - zeta.
 
     sin x = 2t / (1 + t^2) and cos x = 2 / (1 + t^2) - 1, over column
     chunks of about _SINCOS_CHUNK elements of the (m, n) x.  numpy runs
@@ -441,7 +445,11 @@ def _sincos(x: np.ndarray, sin_out: np.ndarray, cos_out: np.ndarray) -> None:
     step = max(1, _SINCOS_CHUNK // m)
     for j in range(0, n, step):
         cols = slice(j, j + step)
-        t = np.multiply(x[:, cols], 0.5)
+        if shift is None:
+            t = np.multiply(x[:, cols], 0.5)
+        else:
+            t = np.add(x[:, cols], shift[cols])
+            t *= 0.5
         np.tan(t, out=t)
         r = np.multiply(t, t)
         r += 1.0
@@ -480,15 +488,18 @@ def feature_param_gradients(
 
     Returns g with g[k] = <M, dPhi/dtheta_k> for every packed feature
     parameter, zeros at weight-only coordinates (the likelihood handles those
-    through the weight diagonal).  Per group, the trig chain rule gives
-    T = dL/dxi (m', n, point-major like phi.data), and every parameter that
-    moves xi = op^T xs^T enters through C = (T xs)^T (d_in, m') and the
-    operator phi.operators[q]: a scale on input column j (log_ell, log_sd)
-    gives row sum j of C * op, a scale on frequency k (s_mult, the hat
-    kinds) its column sum k, which equals sum_n T * xi.  The G and B
-    transforms run on C as well, so no stack is applied to the n data rows
-    here.  The products run in scipy's BLAS, as every product of an
-    evaluation does (see ffgp.gp).
+    through the weight diagonal).  phi.data may be W = V^{1/2} Phi, as
+    gp.nlml_value_and_grad passes it: the weights depend only on the
+    weight-only coordinates, and a frequency's cos and sin rows share one,
+    so <M, dW/dtheta_k> = <V^{1/2} M, dPhi/dtheta_k>.  Per group, the trig
+    chain rule gives T = dL/dxi (m', n, point-major like phi.data), and
+    every parameter that moves xi = op^T xs^T enters through
+    C = (T xs)^T (d_in, m') and the operator phi.operators[q]: a scale on
+    input column j (log_ell, log_sd) gives row sum j of C * op, a scale on
+    frequency k (s_mult, the hat kinds) its column sum k, which equals
+    sum_n T * xi.  The G and B transforms run on C as well, so no stack is
+    applied to the n data rows here.  The products run in scipy's BLAS, as
+    every product of an evaluation does (see ffgp.gp).
     """
     X = np.asarray(X, dtype=float)
     n, d_in, m = X.shape[0], spec.d_in, spec.m_realized

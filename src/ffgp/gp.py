@@ -12,12 +12,16 @@ Both are exact; the switch is purely computational.  Every gradient
 ingredient comes from the co-matrix C = A^{-1} W = W K_y^{-1}
 (push-through identity): q = diag(W K_y^{-1} W^T) is the row sums of C * W
 and tr(K_y^{-1}) = (n - sum q) / sigma^2, so no inverse of A or K_y is
-formed.  C itself is one triangular inverse of the Cholesky factor
-(`dtrtri`, in place) and two triangular products (`dtrmm`): L^{-T} L^{-1} W
-in the feature form, W L^{-T} L^{-1} in the data form.  That is the flop
-count of two triangular solves plus D^3/3 (or n^3/3), but scipy's OpenBLAS
-runs `trmm` at GEMM speed and `trsm` well below it.  Its accuracy is that
-of the solves (tr K_y^{-1} to 1e-10 relative on a rank-deficient A with
+formed.  The feature gradient contracts M = C - u alpha^T against the
+derivatives of W, which equals contracting V^{1/2} M against Phi's: the
+weights depend only on log a / log v, and a frequency's cos and sin rows
+share one, so the trig chain rule's cross terms carry the same factor.
+C itself is one triangular inverse of the Cholesky factor (`dtrtri`, in
+place) and two triangular products (`dtrmm`): L^{-T} L^{-1} W in the
+feature form, W L^{-T} L^{-1} in the data form.  That is the flop count of
+two triangular solves plus D^3/3 (or n^3/3), but scipy's OpenBLAS runs
+`trmm` at GEMM speed and `trsm` well below it.  Its accuracy is that of the
+solves (tr K_y^{-1} to 1e-10 relative on a rank-deficient A with
 sigma^2=1e-6), where `dpotri` + `dsymm` lost six digits.  The posterior
 keeps beta = V^{1/2} A^{-1} W y plus the Cholesky factor of A, which is all
 the state prediction needs: mean = phi*^T beta and
@@ -38,7 +42,7 @@ the LAPACK calls behind it skip their own scans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -103,6 +107,20 @@ def weighted_features(phi, weight_diag: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(W)):
         raise DomainError("weighted features are not finite")
     return W
+
+
+def _checked(phi, weight_diag, y, noise_var, min_points: int):
+    """(W, y), checked before the first BLAS call: noise_var > 0, W as
+    weighted_features checks it, y of shape (n,), n >= min_points."""
+    y = np.asarray(y, dtype=float)
+    if noise_var <= 0:
+        raise DomainError("noise_var must be positive")
+    W = weighted_features(phi, weight_diag)
+    if y.shape != (W.shape[1],):
+        raise DimensionError(f"y must be ({W.shape[1]},), got {y.shape}")
+    if y.size < min_points:
+        raise DimensionError(f"need n >= {min_points}")
+    return W, y
 
 
 def _gram(W: np.ndarray, noise_var: float, trans: int) -> np.ndarray:
@@ -176,14 +194,7 @@ def neg_log_marginal_likelihood(phi, weight_diag, y, noise_var, mode: str = "aut
     mode: "auto" picks the feature (dual) form when D < n, else the data
     form; both available explicitly for cross-checking.
     """
-    y = np.asarray(y, dtype=float)
-    if noise_var <= 0:
-        raise DomainError("noise_var must be positive")
-    W = weighted_features(phi, weight_diag)
-    if y.ndim != 1 or y.shape[0] != W.shape[1]:
-        raise DimensionError(f"y must be ({W.shape[1]},), got {y.shape}")
-    if y.size < 1:
-        raise DimensionError("need n >= 1")
+    W, y = _checked(phi, weight_diag, y, noise_var, min_points=1)
     return float(_core(W, y, noise_var, mode)["f"])
 
 
@@ -199,20 +210,10 @@ class PosteriorState:
 
 def fit_posterior(phi, weight_diag, y, noise_var) -> PosteriorState:
     """beta = V^{1/2} A^{-1} (V^{1/2} Phi) y with A's Cholesky factor kept."""
-    y = np.asarray(y, dtype=float)
-    if noise_var <= 0:
-        raise DomainError("noise_var must be positive")
-    W = weighted_features(phi, weight_diag)
-    if y.shape != (W.shape[1],):
-        raise DimensionError(f"y must be ({W.shape[1]},), got {y.shape}")
+    W, y = _checked(phi, weight_diag, y, noise_var, min_points=0)
     L, _, u = _feature_solve(W, y, noise_var)
-    beta = np.sqrt(np.asarray(weight_diag, dtype=float)) * u
-    return PosteriorState(
-        beta=beta,
-        chol_factor=L,
-        noise_var=float(noise_var),
-        weight_diag=np.asarray(weight_diag, dtype=float).copy(),
-    )
+    w = np.array(weight_diag, dtype=float)  # a copy the state owns
+    return PosteriorState(beta=np.sqrt(w) * u, chol_factor=L, noise_var=float(noise_var), weight_diag=w)
 
 
 def predict(state: PosteriorState, phi_star):
@@ -252,34 +253,29 @@ def nlml_value_and_grad(spec: KernelSpec, stacks, X, y, hyper, mode: str = "auto
     noise-std coordinate via sigma^2 (tr K^{-1} - |alpha|^2); weight
     coordinates (log a / log v_q) via the group sums of
     r = diag(W (K^{-1} - alpha alpha^T) W^T); everything else through the
-    feature co-matrix M = V^{1/2}(C - u alpha^T) contracted against the
-    analytic feature derivatives.
+    co-matrix M = C - u alpha^T contracted against the analytic feature
+    derivatives of W (see the module docstring), so Phi is released once W
+    exists and an evaluation holds two D x n arrays, W and C (then M).
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
     spec_h, log_noise = unpack_hyper(spec, hyper)
     noise_var = np.exp(2.0 * log_noise)
     phi = compute_features(spec_h, stacks, X)
-    weight_diag = feature_weight_matrix(spec_h)
-    W = weighted_features(phi, weight_diag)
+    W, y = _checked(phi, feature_weight_matrix(spec_h), y, noise_var, min_points=1)
+    phi = replace(phi, data=W)  # the operators stay; Phi's array is freed
     core = _core(W, y, noise_var, mode)
 
     grad = np.zeros(spec.n_hypers)
     grad[0] = noise_var * (core["tr_Kinv"] - ddot(core["alpha"], core["alpha"]))
 
-    # M = V^{1/2} (C - u alpha^T), built in place in C's point-major layout,
-    # which feature_param_gradients reads alongside phi.data; the rank-one
-    # update is `dger`, with no D x n temporary
+    # M = C - u alpha^T, built in place in C's point-major layout, which
+    # feature_param_gradients reads alongside W; the rank-one update is
+    # `dger`, with no D x n temporary
     M = dger(-1.0, core["u"], core["alpha"], a=core["C"], overwrite_a=1)
-    M *= np.sqrt(weight_diag)[:, None]
     grad[1:] = feature_param_gradients(spec_h, stacks, X, M, phi)
 
-    r = core["r"]
     rpg = spec_h.rows_per_group
     for idx, group in spec_h.weight_param_info():
-        if group is None:
-            grad[1 + idx] += float(np.sum(r))
-        else:
-            grad[1 + idx] += float(np.sum(r[group * rpg : (group + 1) * rpg]))
+        rows = slice(None) if group is None else slice(group * rpg, (group + 1) * rpg)
+        grad[1 + idx] += float(np.sum(core["r"][rows]))
     return float(core["f"]), grad
 

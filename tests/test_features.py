@@ -211,6 +211,22 @@ def test_sincos_matches_libm():
         assert close_to_libm(x, sin, cos), (m, n)
 
 
+def test_sincos_shift_equals_the_shifted_angle_bit_for_bit():
+    # compute_features passes gm's phase as a per-column shift instead of
+    # forming xi +/- zeta; the bits are those of the sum, and x - zeta is
+    # x + (-zeta) in IEEE arithmetic
+    rng = np.random.default_rng(12)
+    for m, n in [(ft._SINCOS_CHUNK + 5, 3), (7, 1), (40, 1000), (3, 2 * ft._SINCOS_CHUNK + 1)]:
+        x = np.asfortranarray(30.0 * rng.standard_normal((m, n)))
+        shift = 5.0 * rng.standard_normal(n)
+        for total, step in [(x + shift, shift), (x - shift, -shift)]:
+            sin, cos = np.empty((m, n), order="F"), np.empty((m, n), order="F")
+            ft._sincos(x, sin, cos, shift=step)
+            want_sin, want_cos = sincos_fortran(total)
+            np.testing.assert_array_equal(sin, want_sin)
+            np.testing.assert_array_equal(cos, want_cos)
+
+
 def test_compute_features_calls_no_libm_trig():
     # np.sin and np.cos run in scalar libm, several times slower than the
     # SIMD tan _sincos builds both from, so every trig block goes through it

@@ -5,6 +5,7 @@ import ast
 import inspect
 import math
 import textwrap
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -245,6 +246,46 @@ def test_zero_feature_rows_are_a_dimension_error(call, capfd):
     with pytest.raises(DimensionError, match="no feature rows"):
         call(np.zeros((0, 5)), np.zeros(0), np.arange(5.0))
     assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("n, n_y", [(0, 0), (7, 6)], ids=["no-points", "wrong-y"])
+def test_value_and_grad_checks_its_inputs_before_blas(n, n_y, capfd):
+    # one DimensionError from the checks the three entry points share, not a
+    # builtin ValueError or OpenBLAS's DSYRK message on stderr
+    rng = np.random.default_rng(6)
+    spec = ft.KernelSpec.template("frbf", 3, 1, 4)
+    stacks = ft.build_stacks(spec, seed=1)
+    X, y = rng.standard_normal((n, 3)), rng.standard_normal(n_y)
+    with pytest.raises(DimensionError):
+        nlml_value_and_grad(spec, stacks, X, y, ft.pack_hyper(spec, math.log(0.3)))
+    assert capfd.readouterr().err == ""
+
+
+# (family, Q, m per group) of scripts/digest.py
+DIGEST_SHAPES = (("frbf", 1, 16), ("fard", 1, 16), ("fsard", 2, 16),
+                 ("fsgbard", 2, 16), ("gm", 2, 16), ("pwl", 2, 16))
+
+
+@pytest.mark.parametrize("family, Q, m", DIGEST_SHAPES, ids=[s[0] for s in DIGEST_SHAPES])
+def test_one_evaluation_holds_two_design_arrays(family, Q, m):
+    # W and C (then M) are the D x n arrays an evaluation needs; Phi is
+    # released once W exists.  Holding it as well read 3.65-4.10 D x n
+    # arrays; the gradient's per-group temporaries add up to one more.
+    rng = np.random.default_rng(zlib.crc32(family.encode()))
+    d, n = 5, 8000
+    spec = ft.KernelSpec.template(family, d, Q, m)
+    spec = spec.with_params(spec.params + 0.1 * rng.standard_normal(spec.n_params))
+    stacks = ft.build_stacks(spec, seed=1)
+    X, y = rng.standard_normal((n, d)), rng.standard_normal(n)
+    h = ft.pack_hyper(spec, math.log(0.3))
+    nlml_value_and_grad(spec, stacks, X, y, h)  # warm-up: first-call allocations
+    tracemalloc.start()
+    try:
+        nlml_value_and_grad(spec, stacks, X, y, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 8 * spec.n_rows * n
 
 
 def fd_gradient(f, h, step=1e-5):

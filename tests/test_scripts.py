@@ -26,7 +26,10 @@ def test_digest_prints_one_stable_hash_per_family(capsys):
     outputs = []
     for _ in range(2):
         digest.main()
-        outputs.append(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        outputs.append(captured.out)
+        # the BLAS thread count the bits depend on, on stderr only
+        assert re.fullmatch(r"blas_threads=(\d+|unknown)\n", captured.err)
     lines = outputs[0].splitlines()
     assert [ln.split("\t")[0] for ln in lines] == [s[0] for s in digest.SHAPES]
     assert all(re.fullmatch(r"[a-z]+\t[0-9a-f]{64}", ln) for ln in lines)
