@@ -4,7 +4,9 @@ On a fixed small problem (the standardized surrogate set, first 200 rows,
 d=5) each family's digest hashes: the `restart_starts` hyper vectors of
 three restarts, the NLML and gradient at each, `param_info` for every
 packed index, `weight_param_info`, and the bytes of a model saved after a
-short `fit`.
+short `fit`.  A second line per family, `predict <family> <sha256>`, hashes
+that model's `predict` (mean, then variance) on the next `HELD_OUT` rows
+of the surrogate set, in raw units.
 Two source trees that print the same lines compute the same numbers bit for
 bit, so a change meant to keep behaviour can show it by running this script
 on both.
@@ -35,6 +37,7 @@ from ffgp.model import save_model
 from ffgp.train import TrainConfig, fit, restart_starts
 
 ROWS = 200
+HELD_OUT = 100
 RESTARTS = 3
 # (family, Q, m per group); d=5 pads to 8, so m=16 spans two Fastfood blocks
 SHAPES = (("frbf", 1, 16), ("fard", 1, 16), ("fsard", 2, 16),
@@ -42,7 +45,8 @@ SHAPES = (("frbf", 1, 16), ("fard", 1, 16), ("fsard", 2, 16),
 CONFIG = TrainConfig(max_iters=3, restart_count=2, restart_iters=2, seed=0)
 
 
-def family_digest(family, Q, m, X, y, std) -> str:
+def family_digest(family, Q, m, X, y, std, X_held):
+    """(training digest, prediction digest) of one family."""
     h = hashlib.sha256()
     spec = ft.KernelSpec.template(family, X.shape[1], Q, m)
     stacks, starts = restart_starts(spec, X, y, replace(CONFIG, restart_count=RESTARTS))
@@ -58,7 +62,9 @@ def family_digest(family, Q, m, X, y, std) -> str:
         save_model(model, path)
         with open(path, "rb") as fh:
             h.update(fh.read())
-    return h.hexdigest()
+    mean, var = model.predict(X_held)
+    pred = hashlib.sha256(np.concatenate([mean, var]).astype("<f8").tobytes())
+    return h.hexdigest(), pred.hexdigest()
 
 
 def blas_threads() -> str:
@@ -81,12 +87,16 @@ def blas_threads() -> str:
 
 def main():
     print(f"blas_threads={blas_threads()}", file=sys.stderr)
-    X, y = make_surrogate()
-    X, y = X[:ROWS], y[:ROWS]
+    X_all, y_all = make_surrogate()
+    X, y = X_all[:ROWS], y_all[:ROWS]
     std = fit_standardization(X, y)
     X, y = std.apply_x(X), std.apply_y(y)
-    for family, Q, m in SHAPES:
-        print(f"{family}\t{family_digest(family, Q, m, X, y, std)}")
+    digests = [family_digest(family, Q, m, X, y, std, X_all[ROWS : ROWS + HELD_OUT])
+               for family, Q, m in SHAPES]
+    for (family, _, _), (train, _) in zip(SHAPES, digests):
+        print(f"{family}\t{train}")
+    for (family, _, _), (_, pred) in zip(SHAPES, digests):
+        print(f"predict {family} {pred}")
 
 
 if __name__ == "__main__":

@@ -336,8 +336,8 @@ class DesignMatrix:
 
     data is point-major (Fortran order): the D features of one point are
     contiguous, so a group's (m', n) trig blocks are Fortran-order slices
-    that the scipy products fill and read in place, and gp.predict's scaled
-    copy for its triangular solve is not a transpose.
+    that the scipy products fill and read in place, and gp.predict's
+    triangular product can overwrite it in place.
     """
 
     data: np.ndarray

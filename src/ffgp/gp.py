@@ -25,7 +25,10 @@ solves (tr K_y^{-1} to 1e-10 relative on a rank-deficient A with
 sigma^2=1e-6), where `dpotri` + `dsymm` lost six digits.  The posterior
 keeps beta = V^{1/2} A^{-1} W y plus the Cholesky factor of A, which is all
 the state prediction needs: mean = phi*^T beta and
-var = sigma^2 (1 + ||L^{-1} V^{1/2} phi*||^2).
+var = sigma^2 (1 + ||R phi*||^2) with R = L^{-1} V^{1/2}.  R is one more
+`dtrtri`, paid by the first prediction from a state (never by a fit), and
+each block of test features is then one `dtrmm` product, for the same
+GEMM-over-`trsm` reason.
 
 Every BLAS product of an evaluation (nlml_value_and_grad) and of a
 prediction runs in scipy's OpenBLAS: the features' and the feature
@@ -43,9 +46,11 @@ the LAPACK calls behind it skip their own scans.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky
+from scipy.linalg import solve_triangular  # noqa: F401  unused; perfbench/tracer.py wraps it here
 from scipy.linalg.blas import ddot, dger, dsyrk, dtrmm
 from scipy.linalg.lapack import dtrtri
 
@@ -137,15 +142,23 @@ def _feature_solve(W: np.ndarray, y: np.ndarray, noise_var: float):
     return L, Wy, cho_solve((L, True), Wy, check_finite=False)
 
 
+def _tri_inverse(L: np.ndarray, overwrite: bool) -> np.ndarray:
+    """L^{-1} of a lower-triangular factor by `dtrtri`, in place when
+    overwrite (and L is Fortran-ordered); IllConditionedError on a zero
+    diagonal entry."""
+    Linv, info = dtrtri(L, lower=1, overwrite_c=int(overwrite))
+    if info > 0:
+        raise IllConditionedError(f"Cholesky factor is singular at diagonal entry {info}")
+    return Linv
+
+
 def _co_matrix(L: np.ndarray, W: np.ndarray, side: int) -> np.ndarray:
     """L^{-T} L^{-1} W (side=0) or W L^{-T} L^{-1} (side=1); overwrites L.
 
     One in-place triangular inverse and two `dtrmm` products, which keep W's
     point-major layout on either side.
     """
-    Linv, info = dtrtri(L, lower=1, overwrite_c=1)
-    if info > 0:
-        raise IllConditionedError(f"Cholesky factor is singular at diagonal entry {info}")
+    Linv = _tri_inverse(L, overwrite=True)
     B = dtrmm(1.0, Linv, W, side=side, lower=1, trans_a=side)
     return dtrmm(1.0, Linv, B, side=side, lower=1, trans_a=1 - side, overwrite_b=1)
 
@@ -207,6 +220,15 @@ class PosteriorState:
     noise_var: float
     weight_diag: np.ndarray
 
+    @cached_property
+    def scaled_inverse(self) -> np.ndarray:
+        """R = L^{-1} V^{1/2} (lower triangular, D x D), built on first use:
+        one `dtrtri` on a copy of the factor, then its columns scaled by
+        sqrt(weight_diag) in place.  IllConditionedError on a zero diagonal."""
+        R = _tri_inverse(self.chol_factor, overwrite=False)
+        R *= np.sqrt(self.weight_diag)
+        return R
+
 
 def fit_posterior(phi, weight_diag, y, noise_var) -> PosteriorState:
     """beta = V^{1/2} A^{-1} (V^{1/2} Phi) y with A's Cholesky factor kept."""
@@ -216,15 +238,16 @@ def fit_posterior(phi, weight_diag, y, noise_var) -> PosteriorState:
     return PosteriorState(beta=np.sqrt(w) * u, chol_factor=L, noise_var=float(noise_var), weight_diag=w)
 
 
-def predict(state: PosteriorState, phi_star):
+def predict(state: PosteriorState, phi_star, *, overwrite_phi: bool = False):
     """(mean, variance) per test column of phi_star.
 
-    mean = phi*^T beta; var = sigma^2 (1 + ||L^{-1} V^{1/2} phi*||^2), the
-    weight-space posterior variance, so var >= sigma^2 always.  phi_star is
-    expected point-major (Fortran order), as compute_features returns it:
-    then the scaled copy the solve overwrites is a straight copy.  It holds
-    one D x n copy of phi_star, so callers bound memory by passing column
-    blocks (TrainedModel.predict does).
+    mean = phi*^T beta; var = sigma^2 (1 + ||R phi*||^2) with
+    R = state.scaled_inverse = L^{-1} V^{1/2}, the weight-space posterior
+    variance, so var >= sigma^2 always.  R phi* is one `dtrmm` into a
+    D x n copy of phi_star, so callers bound memory by passing column blocks
+    (TrainedModel.predict does).  overwrite_phi=True lets the product
+    overwrite a point-major (Fortran-order) phi_star, as compute_features
+    returns it, instead of copying it; phi_star then holds R phi*.
     """
     data = _as_data(phi_star)
     single = data.ndim == 1
@@ -234,11 +257,9 @@ def predict(state: PosteriorState, phi_star):
         raise DimensionError(
             f"phi_star has {data.shape[0]} rows, model has {state.beta.shape[0]}"
         )
-    mean = matvec(data.T, state.beta)
-    # Fortran order lets the solve overwrite z in place: one D x n copy, not two
-    z = np.multiply(np.sqrt(state.weight_diag)[:, None], data, order="F")
+    mean = matvec(data.T, state.beta)  # before the product may overwrite data
     # non-finite features propagate to the result (TrainedModel.predict checks it)
-    half = solve_triangular(state.chol_factor, z, lower=True, overwrite_b=True, check_finite=False)
+    half = dtrmm(1.0, state.scaled_inverse, data, lower=1, overwrite_b=int(overwrite_phi))
     var = state.noise_var * (1.0 + np.einsum("kj,kj->j", half, half))
     return (float(mean[0]), float(var[0])) if single else (mean, var)
 

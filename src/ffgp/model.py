@@ -30,10 +30,11 @@ MAGIC = "ffgp-model"
 FORMAT_VERSION = 1
 _POSITIVE = ("noise_var", "x_std", "y_std")  # scales; everything stored must be finite
 # Prediction runs in row blocks of at most this many design-matrix bytes, so
-# its memory is the unpacked factor (8 D^2 bytes) plus at most three blocks
-# (the features, their scaled copy and the frequencies), whatever the number
-# of rows.  Power-of-two row counts keep the results within an ulp of a
-# single-block prediction.
+# its memory is two D x D factors (the unpacked L and R = L^{-1} V^{1/2},
+# 8 D^2 bytes each) plus one block of features, which the triangular
+# product overwrites, and about half a block of frequencies, whatever the
+# number of rows.  Power-of-two row counts keep the results within an ulp
+# of a single-block prediction.
 _PREDICT_BLOCK_BYTES = 1 << 28
 
 
@@ -60,7 +61,9 @@ class TrainedModel:
         """(mean, variance) in original target units for raw-unit inputs.
 
         Rows go through compute_features and gp.predict in blocks of the
-        largest power of two <= _PREDICT_BLOCK_BYTES / (8 D) rows.  Stored
+        largest power of two <= _PREDICT_BLOCK_BYTES / (8 D) rows; each
+        block's features are overwritten in place and dropped before the
+        next block is built, and R is computed once per call.  Stored
         values that are finite but extreme (a loaded file can hold any) can
         overflow on the way; that raises DomainError instead of returning
         inf or NaN.
@@ -81,8 +84,11 @@ class TrainedModel:
             state = self.posterior()
             X = self.standardization.apply_x(X_raw)
             for lo in range(0, n, rows):
+                # the product overwrites the block, which is dropped before
+                # the next one is built
                 phi = compute_features(self.spec, stacks, X[lo : lo + rows])
-                mean_s[lo : lo + rows], var_s[lo : lo + rows] = predict(state, phi)
+                mean_s[lo : lo + rows], var_s[lo : lo + rows] = predict(state, phi, overwrite_phi=True)
+                del phi
             mean = self.standardization.undo_y(mean_s)
             var = self.standardization.undo_y_var(var_s)
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))):

@@ -11,12 +11,15 @@ import zlib
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dtrtri
 
 import ffgp.fastfood as ff
 import ffgp.features as ft
 import ffgp.gp as gp
 from ffgp.errors import DimensionError, DomainError, FfgpError, IllConditionedError
 from ffgp.gp import (
+    PosteriorState,
     _co_matrix,
     _core,
     _gram,
@@ -173,16 +176,58 @@ def test_predict_scalar_for_single_column():
     assert mean == means[0] and var == variances[0]
 
 
-def test_predict_leaves_features_alone_and_matches_c_order_solve():
+def test_predict_leaves_features_alone_and_matches_scaled_inverse_product():
     phi, v, y = random_problem(6, 40, 12)
     state = fit_posterior(phi, v, y, 0.2)
     phi_star = np.random.default_rng(7).standard_normal((12, 30))
     before = phi_star.copy()
     mean, var = predict(state, phi_star)
     np.testing.assert_array_equal(phi_star, before)
-    half = solve_triangular(state.chol_factor, np.sqrt(v)[:, None] * phi_star, lower=True)
+    R = dtrtri(state.chol_factor, lower=1)[0] * np.sqrt(v)
+    np.testing.assert_array_equal(state.scaled_inverse, R)
+    half = dtrmm(1.0, R, phi_star, lower=1)
     np.testing.assert_array_equal(var, 0.2 * (1.0 + np.einsum("kj,kj->j", half, half)))
     np.testing.assert_array_equal(mean, phi_star.T @ state.beta)
+
+
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_predict_overwrite_phi_gives_the_same_bits(order):
+    phi, v, y = random_problem(8, 40, 12)
+    state = fit_posterior(phi, v, y, 0.2)
+    phi_star = np.asarray(np.random.default_rng(9).standard_normal((12, 30)), order=order)
+    want = predict(state, phi_star)
+    given = phi_star.copy(order=order)
+    got = predict(state, given, overwrite_phi=True)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    if order == "F":  # point-major features are overwritten by R phi*, not copied
+        np.testing.assert_array_equal(given, dtrmm(1.0, state.scaled_inverse, phi_star, lower=1))
+    else:  # anything else is copied first and left alone
+        np.testing.assert_array_equal(given, phi_star)
+
+
+def test_predict_variance_matches_solve_on_rank_deficient_factor():
+    # test_core_pieces_match_dense_inverse's (200, 90, 1e-6) case: A is
+    # sigma^2 I plus a rank-90 Gram, so the explicit inverse in R must
+    # agree with a triangular solve on an ill-conditioned factor
+    D, n, noise_var = 200, 90, 1e-6
+    rng = np.random.default_rng(0)
+    W = rng.standard_normal((D, n)) / np.sqrt(D)
+    y = rng.standard_normal(n)
+    v = rng.uniform(0.05, 2.0, size=D)
+    state = fit_posterior(W / np.sqrt(v)[:, None], v, y, noise_var)  # weighted, W again
+    phi_star = np.asfortranarray(rng.standard_normal((D, 40)))
+    _, var = predict(state, phi_star)
+    half = solve_triangular(state.chol_factor, np.sqrt(v)[:, None] * phi_star, lower=True)
+    want = noise_var * (1.0 + np.einsum("kj,kj->j", half, half))
+    assert np.max(np.abs(var - want) / want) <= 1e-12
+
+
+def test_predict_rejects_singular_factor():
+    state = PosteriorState(beta=np.ones(2), chol_factor=np.zeros((2, 2)), noise_var=0.1,
+                           weight_diag=np.ones(2))
+    with pytest.raises(IllConditionedError):
+        predict(state, np.ones((2, 3)))
 
 
 def test_chol_jitter_recovers_singular_psd():

@@ -115,9 +115,10 @@ def test_prediction_memory_is_set_by_the_block_not_the_rows(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one block of features, its scaled copy and the (rows, m) frequencies:
-    # about 2.5 blocks, against 32 blocks for the whole design matrix
-    assert peak < 4 * block
+    # R = L^{-1} V^{1/2} (8 D^2 bytes, built inside this call), one block of
+    # features that the product overwrites and the (rows, m) frequencies:
+    # against 32 blocks for the whole design matrix
+    assert peak < 8 * D * D + 3 * block
 
 
 def test_predict_validates_dimensions():

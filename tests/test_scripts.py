@@ -31,9 +31,14 @@ def test_digest_prints_one_stable_hash_per_family(capsys):
         # the BLAS thread count the bits depend on, on stderr only
         assert re.fullmatch(r"blas_threads=(\d+|unknown)\n", captured.err)
     lines = outputs[0].splitlines()
-    assert [ln.split("\t")[0] for ln in lines] == [s[0] for s in digest.SHAPES]
-    assert all(re.fullmatch(r"[a-z]+\t[0-9a-f]{64}", ln) for ln in lines)
-    assert len(lines) == 6 and outputs[0] == outputs[1]
+    families = [s[0] for s in digest.SHAPES]
+    # the six training lines, then one prediction line per family
+    train, pred = lines[:6], lines[6:]
+    assert [ln.split("\t")[0] for ln in train] == families
+    assert all(re.fullmatch(r"[a-z]+\t[0-9a-f]{64}", ln) for ln in train)
+    assert [ln.split(" ")[1] for ln in pred] == families
+    assert all(re.fullmatch(r"predict [a-z]+ [0-9a-f]{64}", ln) for ln in pred)
+    assert len(lines) == 12 and outputs[0] == outputs[1]
 
 
 def test_eval_timing_starts_where_fit_starts():
