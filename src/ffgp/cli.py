@@ -4,17 +4,14 @@ All randomness flows from --seed (env ALACARTE_SEED as fallback).  Reports
 go to stdout (and --out), byte-identical across runs with equal flags and
 seed; wall-clock timings go to stderr.  eval and bench share one k-fold
 path: eval cross-validates one (kernel, Q, m), bench each --combo, and all
-usage errors come before the first fit.  --jobs > 1 fits folds in threads,
-rows in fold order.  Threads buy little: scipy's BLAS and LAPACK wrappers,
-where a fit spends its time, hold the GIL (two threads overlapped 0.71-1.06x
-on 2 vCPUs, median of 7), and each BLAS call already uses every core.
+usage errors come before the first fit.  Folds are fitted one after another
+on the calling thread; each BLAS call already uses every core.
 """
 
 import argparse
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from itertools import chain
 
@@ -102,21 +99,15 @@ def _fit_timed(template, X, y, config):
     return model, nlml, time.perf_counter() - t0
 
 
-def _run_folds(template, ds, k, config, jobs):
-    """Each fold's (rmse, model file bytes, train_seconds, predict_seconds)."""
-    folds = kfold_partitions(ds.n, k, config.seed)
-
-    def run(fold):
-        tr, te = fold
+def _run_folds(template, ds, k, config):
+    """Each fold's (rmse, model file bytes, train_seconds, predict_seconds), in fold order."""
+    results = []
+    for tr, te in kfold_partitions(ds.n, k, config.seed):
         model, _, train_s = _fit_timed(template, ds.X[tr], ds.y[tr], config)
         t0 = time.perf_counter()
         mean, _ = model.predict(ds.X[te])
-        return rmse(mean, ds.y[te]), model_nbytes(model), train_s, time.perf_counter() - t0
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run, folds))
-    return [run(fold) for fold in folds]
+        results.append((rmse(mean, ds.y[te]), model_nbytes(model), train_s, time.perf_counter() - t0))
+    return results
 
 
 def _cross_validate(args, parser, combos):
@@ -133,7 +124,7 @@ def _cross_validate(args, parser, combos):
     config = _train_config(args, seed, parser)
     ds = _load_table(args)
     templates = [_spec_template(parser, family, ds.d, Q, m) for family, Q, m in combos]
-    return [(c, _run_folds(t, ds, args.folds, config, args.jobs)) for c, t in zip(combos, templates)]
+    return [(c, _run_folds(t, ds, args.folds, config)) for c, t in zip(combos, templates)]
 
 
 def _rmse_stats(results):
@@ -244,7 +235,9 @@ def build_parser():
         p.add_argument("--restart-iters", type=int, default=20, dest="restart_iters")
         p.add_argument("--seed", type=int, default=None)
         if jobs:
-            p.add_argument("--jobs", type=int, default=1, help="folds fitted at once, in threads")
+            p.add_argument("--jobs", type=int, default=1,
+                           help="ignored (folds run in order on the calling thread); "
+                           "to be removed once the benchmark stops passing it")
 
     p_train = sub.add_parser("train", help="fit one model on the full dataset")
     common(p_train, jobs=False)

@@ -107,10 +107,16 @@ def _read_table(path):
 
     A header row is auto-detected (a first line that fails to parse
     numerically).  With no data rows the table is (0, 0); when every row
-    has a non-finite cell it is (0, n_cols).
+    has a non-finite cell it is (0, n_cols).  The file must be UTF-8; the
+    first byte that does not decode is a ParseError naming its offset.
     """
-    with open(path) as fh:
-        lines = [ln for ln in (raw.strip() for raw in fh) if ln]
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = [ln for ln in (raw.strip() for raw in fh) if ln]
+        except UnicodeDecodeError as exc:
+            # exc.object holds the bytes of this decode call, which end at the buffer's position
+            at = fh.buffer.tell() - len(exc.object) + exc.start
+            raise ParseError(f"{path}: byte {at} (0x{exc.object[exc.start]:02x}) is not UTF-8") from None
     names = None
     if lines:
         first = _split_line(lines[0])

@@ -438,8 +438,7 @@ def _sincos(x: np.ndarray, sin_out: np.ndarray, cos_out: np.ndarray, shift=None)
     an odd multiple of pi/2 than 6381956970095103 * 2^797 does, where tan
     is -2.1e18, so t^2 stays far below overflow and finite x gives finite
     output.  np.tan returns the same bits for any memory layout, so the
-    outputs do not depend on the chunking.  The temporaries are per call,
-    so threads may call it at once.
+    outputs do not depend on the chunking.
     """
     m, n = x.shape
     step = max(1, _SINCOS_CHUNK // m)

@@ -72,9 +72,9 @@ class TrainedModel:
         single = X_raw.ndim == 1
         if single:
             X_raw = X_raw[None, :]
-        if X_raw.shape[1] != self.spec.d_in:
+        if X_raw.ndim != 2 or X_raw.shape[1] != self.spec.d_in:
             raise DimensionError(
-                f"model expects d_in={self.spec.d_in}, got {X_raw.shape[1]} columns"
+                f"model expects rows of d_in={self.spec.d_in} values, got shape {X_raw.shape}"
             )
         n = X_raw.shape[0]
         rows = 1 << max((_PREDICT_BLOCK_BYTES // (8 * self.spec.n_rows)).bit_length() - 1, 0)

@@ -156,12 +156,6 @@ class HatSpectrum:
         if self.sigma <= 0.0:
             raise DomainError(f"hat width must be > 0, got {self.sigma}")
 
-    def to_pwl(self) -> PwlSpectrum:
-        m, s = self.mu, self.sigma
-        return PwlSpectrum(
-            knots=np.array([m, m + s / 2.0, m + s]), alphas=np.array([1.0])
-        )
-
 
 def hat_unit_quantile(u) -> np.ndarray:
     """Quantile function of the standard hat on [0, 1] (closed form)."""

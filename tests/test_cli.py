@@ -5,6 +5,7 @@ import io
 import json
 import re
 import struct
+import threading
 import warnings
 
 import numpy as np
@@ -295,6 +296,23 @@ def test_bad_seed_usage_errors(capsys, cosine_csv, monkeypatch):
     assert "--seed" not in errors[0]
 
 
+@pytest.mark.parametrize("argv,fits", [
+    (["eval", "--kernel", "gm", "--Q", "1", "--m", "8"], 3),
+    (["bench", "--combo", "gm:1:8", "--combo", "frbf:1:8"], 6),
+])
+def test_folds_run_on_the_calling_thread(capsys, cosine_csv, monkeypatch, argv, fits):
+    on_main = []
+    original = cli.fit
+
+    def fit(*args, **kwargs):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit", fit)
+    code, _, _ = run(capsys, argv + ["--data", str(cosine_csv), "--folds", "3", "--jobs", "2"] + FAST)
+    assert code == 0 and on_main == [True] * fits
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_is_usage_error(capsys, cosine_csv, jobs):
     for argv in (["eval", "--kernel", "frbf", "--m", "8"], ["bench", "--combo", "frbf:1:8"]):
@@ -445,6 +463,24 @@ def test_train_rejects_malformed_csv(tmp_path, capsys, text, target):
     )
     assert code == 1 and stdout == ""
     assert stderr.startswith("error:") and stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("raw,offset", [
+    (b"\xff\xfex,y\n1,2\n3,4\n", 0),  # a UTF-16 BOM
+    (b"x,y\n1,2\n3,4\x80\n", 11),
+    (b"x,y\n" + b"1,2\n" * 3000 + b"\x80\n", 12004),  # past the first read chunk
+])
+def test_non_utf8_csv_is_one_error_line(tmp_path, capsys, cosine_csv, raw, offset):
+    bad, model = tmp_path / "bad.csv", tmp_path / "m.bin"
+    bad.write_bytes(raw)
+    assert main(["train", "--data", str(cosine_csv), "--kernel", "frbf", "--m", "8",
+                 "--out", str(model)] + FAST) == 0
+    capsys.readouterr()
+    for argv in (["train", "--kernel", "frbf", "--m", "8", "--out", str(tmp_path / "m2.bin")] + FAST,
+                 ["predict", "--model", str(model)]):
+        code, stdout, stderr = run(capsys, argv + ["--data", str(bad)])
+        assert code == 1 and stdout == ""
+        assert stderr == f"error: {bad}: byte {offset} (0x{raw[offset]:02x}) is not UTF-8\n"
 
 
 def test_bench_validates_every_combo_before_the_first_fit(capsys, cosine_csv, monkeypatch):

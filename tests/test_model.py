@@ -126,6 +126,8 @@ def test_predict_validates_dimensions():
     with pytest.raises(DimensionError) as err:
         model.predict(np.zeros((4, 3)))
     assert "d_in=2" in str(err.value) and "3" in str(err.value)
+    with pytest.raises(DimensionError):
+        model.predict(np.zeros(()))
 
 
 def test_predict_single_row_scalar():
