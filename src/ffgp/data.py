@@ -108,9 +108,10 @@ def _read_table(path):
     A header row is auto-detected (a first line that fails to parse
     numerically).  With no data rows the table is (0, 0); when every row
     has a non-finite cell it is (0, n_cols).  The file must be UTF-8; the
-    first byte that does not decode is a ParseError naming its offset.
+    first byte that does not decode is a ParseError naming its offset.  A
+    leading UTF-8 byte-order mark is dropped, not read as part of a cell.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             lines = [ln for ln in (raw.strip() for raw in fh) if ln]
         except UnicodeDecodeError as exc:

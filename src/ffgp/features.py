@@ -376,10 +376,10 @@ def compute_features(spec: KernelSpec, stacks, X: np.ndarray) -> DesignMatrix:
 
     The matrix is point-major (Fortran order).  Each stack is built once, as
     op = project(stack, I_{d_in}); projecting the identity adds 2 d_in^2 m'
-    flops, d_in / n of the product's.  The product runs as the scipy `dgemm`
-    xi = op^T xs^T, which returns the (m', n) Fortran-order array a trig
-    block of data is, so cos and sin write each block straight from xi with
-    no transposed temporary.
+    flops, d_in / n of the product's.  The product xi = op^T xs^T runs in
+    the trig pass (_project_sincos), one cache-sized column chunk at a
+    time, so the (m', n) frequencies never exist whole: besides the design
+    matrix, a call holds the operators, xs and a few chunks.
 
     Every cos/sin pair (and gm's pairs at xi +/- the phase) comes from one
     tan of the half angle (_sincos): sin = 2t/(1+t^2), cos = 2/(1+t^2) - 1
@@ -408,53 +408,70 @@ def compute_features(spec: KernelSpec, stacks, X: np.ndarray) -> DesignMatrix:
     for q in range(spec.Q):
         s, g, b = _group_diagonals(spec, stacks, q)
         operators.append(project(stacks[q], eye, s_diag=s, g_diag=g, b_diag=b))
-        xi = dgemm(1.0, operators[q].T, _scaled_inputs(spec, q, X).T)  # (m, n)
         base = q * rpg
         blocks = [data[base + k * m : base + (k + 1) * m] for k in range(rpg // m)]
         if phase:  # sin+, cos+, sin-, cos-
             zeta = matvec(X, spec.field("mu", q))  # (n,)
-            _sincos(xi, blocks[0], blocks[1], shift=zeta)
-            _sincos(xi, blocks[2], blocks[3], shift=-zeta)
+            trig = [(blocks[0], blocks[1], zeta), (blocks[2], blocks[3], -zeta)]
         else:  # cos, sin
-            _sincos(xi, blocks[1], blocks[0])
+            trig = [(blocks[1], blocks[0], None)]
+        _project_sincos(operators[q], _scaled_inputs(spec, q, X), trig)
     return DesignMatrix(data=data, operators=tuple(operators))
 
 
-# elements per chunk of _sincos: its two temporaries (128 KiB) stay in cache
+# elements per column chunk of the frequencies xi: the chunk and _sincos's
+# two temporaries (192 KiB) stay in cache
 _SINCOS_CHUNK = 8192
+
+
+def _project_sincos(op: np.ndarray, xs: np.ndarray, trig) -> None:
+    """The trig blocks of xi = op^T xs^T, one column chunk of xi at a time.
+
+    op is a group's (d_in, m') operator and xs its (n, d_in) scaled inputs;
+    trig lists (sin_out, cos_out, shift) with shift None or a per-column
+    (n,) phase, and each pair gets _sincos of the chunk.  A chunk is about
+    _SINCOS_CHUNK elements of xi, one `dgemm` from Fortran-order views
+    (no copies), so xi never exists whole and every phase reads the chunk
+    from cache.  Each element of xi is the same d_in-term product however
+    the columns are split, so the bits equal those of one product over all
+    n columns.
+    """
+    m, n = op.shape[1], xs.shape[0]
+    step = max(1, _SINCOS_CHUNK // m)
+    for j in range(0, n, step):
+        cols = slice(j, j + step)
+        xi = dgemm(1.0, op.T, xs[cols].T)  # (m', columns)
+        for sin_out, cos_out, shift in trig:
+            _sincos(xi, sin_out[:, cols], cos_out[:, cols], shift=None if shift is None else shift[cols])
 
 
 def _sincos(x: np.ndarray, sin_out: np.ndarray, cos_out: np.ndarray, shift=None) -> None:
     """sin(x) into sin_out and cos(x) into cos_out, from t = tan(x / 2).
 
-    With a per-column shift (n,), the angle is x + shift, added chunk by
-    chunk, so no (m, n) sum is formed; the bits equal those of
+    With a per-column shift (n,), the angle is x + shift, so no shifted copy
+    of x is formed outside the call; the bits equal those of
     _sincos(x + shift), and a shift of -zeta gives those of x - zeta.
 
-    sin x = 2t / (1 + t^2) and cos x = 2 / (1 + t^2) - 1, over column
-    chunks of about _SINCOS_CHUNK elements of the (m, n) x.  numpy runs
-    float64 tan in a SIMD loop and sin and cos in scalar libm (see
-    compute_features for the cost and the error).  No double lies closer to
-    an odd multiple of pi/2 than 6381956970095103 * 2^797 does, where tan
-    is -2.1e18, so t^2 stays far below overflow and finite x gives finite
-    output.  np.tan returns the same bits for any memory layout, so the
-    outputs do not depend on the chunking.
+    sin x = 2t / (1 + t^2) and cos x = 2 / (1 + t^2) - 1, with two (m, n)
+    temporaries, which _project_sincos keeps to one cache-sized chunk.
+    numpy runs float64 tan in a SIMD loop and sin and cos in scalar libm
+    (see compute_features for the cost and the error).  No double lies
+    closer to an odd multiple of pi/2 than 6381956970095103 * 2^797 does,
+    where tan is -2.1e18, so t^2 stays far below overflow and finite x
+    gives finite output.  np.tan returns the same bits for any memory
+    layout, so the outputs do not depend on how x is split.
     """
-    m, n = x.shape
-    step = max(1, _SINCOS_CHUNK // m)
-    for j in range(0, n, step):
-        cols = slice(j, j + step)
-        if shift is None:
-            t = np.multiply(x[:, cols], 0.5)
-        else:
-            t = np.add(x[:, cols], shift[cols])
-            t *= 0.5
-        np.tan(t, out=t)
-        r = np.multiply(t, t)
-        r += 1.0
-        np.divide(2.0, r, out=r)  # 2 / (1 + t^2)
-        np.multiply(t, r, out=sin_out[:, cols])
-        np.subtract(r, 1.0, out=cos_out[:, cols])
+    if shift is None:
+        t = np.multiply(x, 0.5)
+    else:
+        t = np.add(x, shift)
+        t *= 0.5
+    np.tan(t, out=t)
+    r = np.multiply(t, t)
+    r += 1.0
+    np.divide(2.0, r, out=r)  # 2 / (1 + t^2)
+    np.multiply(t, r, out=sin_out)
+    np.subtract(r, 1.0, out=cos_out)
 
 
 def feature_weight_matrix(spec: KernelSpec) -> np.ndarray:

@@ -41,18 +41,23 @@ scipy calls leaves numpy's threads spinning on the cores the next scipy
 call needs (and numpy's vector dot goes multithreaded above 10,000
 entries).  The features are checked finite once, in weighted_features, so
 the LAPACK calls behind it skip their own scans.
+
+W is Phi's own array wherever the caller built Phi only to weight it:
+nlml_value_and_grad, and train.fit through fit_posterior's overwrite_phi,
+scale Phi by V^{1/2} in place, so neither holds Phi and W at once.
+weighted_features and the default fit_posterior leave Phi as it is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
+from scipy.linalg import cho_solve
 from scipy.linalg import solve_triangular  # noqa: F401  unused; perfbench/tracer.py wraps it here
 from scipy.linalg.blas import ddot, dger, dsyrk, dtrmm
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .blas import matvec
 from .errors import DimensionError, DomainError, IllConditionedError
@@ -70,36 +75,57 @@ def _as_data(phi) -> np.ndarray:
     return phi.data if isinstance(phi, DesignMatrix) else np.asarray(phi, dtype=float)
 
 
+def _lower_cholesky(a: np.ndarray):
+    """Lower Cholesky factor of a copy of a, or None unless positive definite.
+
+    `dpotrf` without scipy's clean pass, which zeroes the upper triangle in
+    a slow strided loop: the strict upper triangle, which still holds a's,
+    is zeroed here a contiguous column at a time.
+    """
+    L, info = dpotrf(a, lower=1, clean=0)
+    if info != 0:  # a leading minor is not positive (a square array takes no bad argument)
+        return None
+    for j in range(1, L.shape[1]):
+        L[:j, j] = 0.0
+    return L
+
+
 def chol_with_jitter(a: np.ndarray):
     """Lower Cholesky factor with escalating diagonal jitter.
 
     Reads only the lower triangle of a, which must be finite (it is not
-    scanned).  Starts at 1e-10 * trace/dim and multiplies by 10 up to
-    1e-4 * trace before giving up.  Returns (L, jitter_used).
+    scanned), and leaves a as it was.  Starts at 1e-10 * trace/dim and
+    multiplies by 10 up to 1e-4 * trace before giving up.  Returns
+    (L, jitter_used).
     """
     dim = a.shape[0]
     if dim == 0:
         return np.zeros((0, 0)), 0.0
-    try:
-        return cholesky(a, lower=True, check_finite=False), 0.0
-    except np.linalg.LinAlgError:
-        pass
+    L = _lower_cholesky(a)
+    if L is not None:
+        return L, 0.0
     trace = float(np.trace(a))
     scale = max(trace, np.finfo(float).tiny)
     jitter = 1e-10 * scale / dim
     cap = 1e-4 * scale
     eye = np.eye(dim)
     while jitter <= cap:
-        try:
-            return cholesky(a + jitter * eye, lower=True, check_finite=False), jitter
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
+        L = _lower_cholesky(a + jitter * eye)
+        if L is not None:
+            return L, jitter
+        jitter *= 10.0
     raise IllConditionedError(f"Cholesky failed after jitter escalation to {cap:g}")
 
 
 def weighted_features(phi, weight_diag: np.ndarray) -> np.ndarray:
     """W = V^{1/2} Phi; DimensionError without feature rows, DomainError
     unless every entry is finite."""
+    return _weighted(phi, weight_diag, overwrite=False)
+
+
+def _weighted(phi, weight_diag, overwrite: bool) -> np.ndarray:
+    """weighted_features, scaling a float64 Phi in place when overwrite
+    (for callers that own Phi and drop it for W)."""
     data = _as_data(phi)
     if data.shape[0] == 0:
         raise DimensionError("phi has no feature rows")
@@ -108,19 +134,24 @@ def weighted_features(phi, weight_diag: np.ndarray) -> np.ndarray:
         raise DimensionError(f"weight_diag must have length {data.shape[0]}, got {w.shape}")
     if np.any(w < 0):
         raise DomainError("weight_diag entries must be nonnegative")
-    W = np.sqrt(w)[:, None] * data
+    if overwrite:
+        W = data
+        W *= np.sqrt(w)[:, None]
+    else:
+        W = np.sqrt(w)[:, None] * data
     if not np.all(np.isfinite(W)):
         raise DomainError("weighted features are not finite")
     return W
 
 
-def _checked(phi, weight_diag, y, noise_var, min_points: int):
+def _checked(phi, weight_diag, y, noise_var, min_points: int, overwrite: bool = False):
     """(W, y), checked before the first BLAS call: noise_var > 0, W as
-    weighted_features checks it, y of shape (n,), n >= min_points."""
+    weighted_features checks it (in Phi's array when overwrite), y of
+    shape (n,), n >= min_points."""
     y = np.asarray(y, dtype=float)
     if noise_var <= 0:
         raise DomainError("noise_var must be positive")
-    W = weighted_features(phi, weight_diag)
+    W = _weighted(phi, weight_diag, overwrite)
     if y.shape != (W.shape[1],):
         raise DimensionError(f"y must be ({W.shape[1]},), got {y.shape}")
     if y.size < min_points:
@@ -230,9 +261,14 @@ class PosteriorState:
         return R
 
 
-def fit_posterior(phi, weight_diag, y, noise_var) -> PosteriorState:
-    """beta = V^{1/2} A^{-1} (V^{1/2} Phi) y with A's Cholesky factor kept."""
-    W, y = _checked(phi, weight_diag, y, noise_var, min_points=0)
+def fit_posterior(phi, weight_diag, y, noise_var, *, overwrite_phi: bool = False) -> PosteriorState:
+    """beta = V^{1/2} A^{-1} (V^{1/2} Phi) y with A's Cholesky factor kept.
+
+    overwrite_phi=True lets W = V^{1/2} Phi overwrite a float64 phi in place
+    (train.fit passes the features it has just built), so the posterior
+    holds one D x n array instead of two; phi then holds W.
+    """
+    W, y = _checked(phi, weight_diag, y, noise_var, min_points=0, overwrite=overwrite_phi)
     L, _, u = _feature_solve(W, y, noise_var)
     w = np.array(weight_diag, dtype=float)  # a copy the state owns
     return PosteriorState(beta=np.sqrt(w) * u, chol_factor=L, noise_var=float(noise_var), weight_diag=w)
@@ -275,14 +311,13 @@ def nlml_value_and_grad(spec: KernelSpec, stacks, X, y, hyper, mode: str = "auto
     coordinates (log a / log v_q) via the group sums of
     r = diag(W (K^{-1} - alpha alpha^T) W^T); everything else through the
     co-matrix M = C - u alpha^T contracted against the analytic feature
-    derivatives of W (see the module docstring), so Phi is released once W
-    exists and an evaluation holds two D x n arrays, W and C (then M).
+    derivatives of W (see the module docstring).  W is Phi scaled in place,
+    so an evaluation holds two D x n arrays, W and C (then M).
     """
     spec_h, log_noise = unpack_hyper(spec, hyper)
     noise_var = np.exp(2.0 * log_noise)
-    phi = compute_features(spec_h, stacks, X)
-    W, y = _checked(phi, feature_weight_matrix(spec_h), y, noise_var, min_points=1)
-    phi = replace(phi, data=W)  # the operators stay; Phi's array is freed
+    phi = compute_features(spec_h, stacks, X)  # phi.data becomes W below
+    W, y = _checked(phi, feature_weight_matrix(spec_h), y, noise_var, min_points=1, overwrite=True)
     core = _core(W, y, noise_var, mode)
 
     grad = np.zeros(spec.n_hypers)

@@ -32,9 +32,9 @@ _POSITIVE = ("noise_var", "x_std", "y_std")  # scales; everything stored must be
 # Prediction runs in row blocks of at most this many design-matrix bytes, so
 # its memory is two D x D factors (the unpacked L and R = L^{-1} V^{1/2},
 # 8 D^2 bytes each) plus one block of features, which the triangular
-# product overwrites, and about half a block of frequencies, whatever the
-# number of rows.  Power-of-two row counts keep the results within an ulp
-# of a single-block prediction.
+# product overwrites, whatever the number of rows (compute_features forms
+# the frequencies a cache-sized chunk at a time).  Power-of-two row counts
+# keep the results within an ulp of a single-block prediction.
 _PREDICT_BLOCK_BYTES = 1 << 28
 
 

@@ -293,7 +293,7 @@ def fit(spec, X, y, config: TrainConfig, standardization=None):
     spec_fit, log_noise = unpack_hyper(spec, h_best)
     noise_var = float(np.exp(2.0 * log_noise))
     phi = compute_features(spec_fit, stacks, X)
-    state = fit_posterior(phi, feature_weight_matrix(spec_fit), y, noise_var)
+    state = fit_posterior(phi, feature_weight_matrix(spec_fit), y, noise_var, overwrite_phi=True)
     std = standardization if standardization is not None else Standardization.identity(X.shape[1])
     model = TrainedModel(
         spec=spec_fit,

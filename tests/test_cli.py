@@ -469,6 +469,8 @@ def test_train_rejects_malformed_csv(tmp_path, capsys, text, target):
     (b"\xff\xfex,y\n1,2\n3,4\n", 0),  # a UTF-16 BOM
     (b"x,y\n1,2\n3,4\x80\n", 11),
     (b"x,y\n" + b"1,2\n" * 3000 + b"\x80\n", 12004),  # past the first read chunk
+    (b"\xef\xbb\xbfx,y\n1,2\n3,4\x80\n", 14),  # offsets count a UTF-8 BOM
+    (b"\xef\xbb\xbfx,y\n" + b"1,2\n" * 3000 + b"\x80\n", 12007),
 ])
 def test_non_utf8_csv_is_one_error_line(tmp_path, capsys, cosine_csv, raw, offset):
     bad, model = tmp_path / "bad.csv", tmp_path / "m.bin"

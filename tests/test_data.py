@@ -101,6 +101,19 @@ def test_load_feature_csv(tmp_path):
         load_feature_csv(write(tmp_path, "1,2\n3,x\n"))
 
 
+def test_utf8_byte_order_mark_is_not_a_header(tmp_path):
+    # read as text, the BOM made "\ufeff1" a cell that fails to parse, so
+    # the first data row was taken for a header and dropped
+    p = tmp_path / "bom.csv"
+    p.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n5,6\n")
+    ds = load_csv(p)
+    assert ds.n == 3 and ds.feature_names == []
+    np.testing.assert_array_equal(ds.X[:, 0], [1, 3, 5])
+    X, rej = load_feature_csv(p)
+    np.testing.assert_array_equal(X, [[1, 2], [3, 4], [5, 6]])
+    assert rej == 0
+
+
 def test_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     X = rng.standard_normal((20, 3))

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import textwrap
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -225,6 +226,27 @@ def test_sincos_shift_equals_the_shifted_angle_bit_for_bit():
             want_sin, want_cos = sincos_fortran(total)
             np.testing.assert_array_equal(sin, want_sin)
             np.testing.assert_array_equal(cos, want_cos)
+
+
+@pytest.mark.parametrize("family, Q, m", [("frbf", 1, 1280), ("gm", 3, 64), ("pwl", 5, 256)])
+def test_compute_features_forms_no_frequency_array(family, Q, m):
+    # the projection runs per column chunk inside the trig pass, so besides
+    # the design matrix a call holds only chunks; forming the whole (m', n)
+    # xi first read 1.18-1.50 D x n arrays
+    rng = np.random.default_rng(3)
+    d, n = 5, 8000
+    spec = ft.KernelSpec.template(family, d, Q, m)
+    spec = spec.with_params(spec.params + 0.1 * rng.standard_normal(spec.n_params))
+    stacks = ft.build_stacks(spec, seed=1)
+    X = rng.standard_normal((n, d))
+    ft.compute_features(spec, stacks, X[:10])  # warm-up: first-call allocations
+    tracemalloc.start()
+    try:
+        ft.compute_features(spec, stacks, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 8 * spec.n_rows * n
 
 
 def test_compute_features_calls_no_libm_trig():

@@ -10,7 +10,7 @@ import zlib
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
+from scipy.linalg import cholesky, solve_triangular
 from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dtrtri
 
@@ -253,6 +253,38 @@ def test_chol_jitter_empty():
     assert L.shape == (0, 0) and jitter == 0.0
 
 
+def test_chol_matches_scipy_and_keeps_its_input():
+    # dpotrf without scipy's clean pass, then the upper triangle zeroed here
+    rng = np.random.default_rng(4)
+    B = rng.standard_normal((70, 90))
+    a = np.asfortranarray(B @ B.T)
+    want = cholesky(a, lower=True, check_finite=False)
+    for given in (a, np.tril(a), np.ascontiguousarray(a)):
+        before = given.copy()
+        L, jitter = chol_with_jitter(given)
+        assert jitter == 0.0
+        np.testing.assert_array_equal(L, want)
+        np.testing.assert_array_equal(given, before)
+
+
+def test_posterior_overwrite_phi_weights_in_place():
+    phi, v, y = random_problem(21, 8000, 64)
+    phi = np.asfortranarray(phi)
+    want = fit_posterior(phi, v, y, 0.2)
+    W = weighted_features(phi, v)
+    tracemalloc.start()
+    try:
+        got = fit_posterior(phi, v, y, 0.2, overwrite_phi=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(got.beta, want.beta)
+    np.testing.assert_array_equal(got.chol_factor, want.chol_factor)
+    np.testing.assert_array_equal(phi, W)  # phi now holds W
+    # no second D x n array; the finite check's boolean temporary is an eighth of one
+    assert peak < 0.5 * phi.nbytes
+
+
 def test_validation_errors():
     phi, v, y = random_problem(9, 8, 5)
     with pytest.raises(DomainError):
@@ -313,9 +345,9 @@ DIGEST_SHAPES = (("frbf", 1, 16), ("fard", 1, 16), ("fsard", 2, 16),
 
 @pytest.mark.parametrize("family, Q, m", DIGEST_SHAPES, ids=[s[0] for s in DIGEST_SHAPES])
 def test_one_evaluation_holds_two_design_arrays(family, Q, m):
-    # W and C (then M) are the D x n arrays an evaluation needs; Phi is
-    # released once W exists.  Holding it as well read 3.65-4.10 D x n
-    # arrays; the gradient's per-group temporaries add up to one more.
+    # W and C (then M) are the D x n arrays an evaluation needs; W is Phi
+    # scaled in place.  Holding Phi as well read 3.65-4.10 D x n arrays;
+    # the gradient's per-group temporaries add up to one more.
     rng = np.random.default_rng(zlib.crc32(family.encode()))
     d, n = 5, 8000
     spec = ft.KernelSpec.template(family, d, Q, m)
