@@ -3,8 +3,11 @@
 Times one NLML-plus-gradient evaluation (median of --repeats, after one
 warm-up) for the six baseline shapes of ROADMAP.md: the standardized
 surrogate set, first 1350 rows, d=5, at the restart-0 initialization that
-`ffgp.fit` starts from.  For the same shapes and point it times two layers
-alone: the design matrix (`ffgp.features.compute_features`, as
+`ffgp.fit` starts from, with one workspace reused across the calls as a
+fit's objective reuses it.  Per evaluation it also reports the minor page
+faults and the kernel-mode ms (`minor_faults`, `kernel_ms`), from getrusage
+of this process over the timed calls.  For the same shapes and point it
+times two layers alone: the design matrix (`ffgp.features.compute_features`, as
 `features_ms`) and the co-matrix C = A^{-1} W = W K^{-1}
 (`ffgp.gp._co_matrix`: one `dtrtri` and two `dtrmm`, as `co_matrix_ms`),
 in the form the evaluation picks, from a fresh copy of the Cholesky factor
@@ -16,6 +19,7 @@ Usage: PYTHONPATH=src python3 scripts/eval_timing.py [--repeats 7]
 import argparse
 import json
 import platform
+import resource
 import statistics
 import time
 
@@ -47,8 +51,14 @@ def restart0(family, Q, m, X, y, seed=0):
     return spec, stacks, starts[0]
 
 
-def median_ms(fn, repeats, before=None):
-    """Median ms of fn() to 3 significant digits; before() runs untimed ahead of each."""
+def _sig3(x):
+    return float(f"{x:.3g}")
+
+
+def median_ms(fn, repeats, before=None, usage=None):
+    """Median ms of fn() to 3 significant digits; before() runs untimed ahead
+    of each.  A usage dict receives the minor page faults and kernel-mode ms
+    per call over the timed calls (before() included), from getrusage."""
     times = []
     for _ in range(repeats + 1):  # the first call warms up
         if before is not None:
@@ -56,7 +66,13 @@ def median_ms(fn, repeats, before=None):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return float(f"{1000.0 * statistics.median(times[1:]):.3g}")
+        if len(times) == 1:
+            start = resource.getrusage(resource.RUSAGE_SELF)
+    end = resource.getrusage(resource.RUSAGE_SELF)
+    if usage is not None:
+        usage["minor_faults"] = round((end.ru_minflt - start.ru_minflt) / repeats)
+        usage["kernel_ms"] = _sig3(1000.0 * (end.ru_stime - start.ru_stime) / repeats)
+    return _sig3(1000.0 * statistics.median(times[1:]))
 
 
 def weighted(spec, stacks, X, h):
@@ -70,12 +86,12 @@ def co_matrix_ms(W, noise_var, repeats):
     """_co_matrix in the form the evaluation picks, from a fresh factor each call."""
     side = 0 if _form(*W.shape) == "feature" else 1
     L, _ = chol_with_jitter(_gram(W, noise_var, trans=side))
-    fresh = []  # _co_matrix consumes its factor, so each call gets an untimed copy
+    fresh, work = [], {}  # _co_matrix consumes its factor, so each call gets an untimed copy
 
     def copy():
         fresh[:] = [L.copy(order="F")]
 
-    return median_ms(lambda: _co_matrix(fresh[0], W, side), repeats, before=copy)
+    return median_ms(lambda: _co_matrix(fresh[0], W, side, work), repeats, before=copy)
 
 
 def main():
@@ -88,11 +104,9 @@ def main():
     for family, Q, m in SHAPES:
         spec, stacks, h = restart0(family, Q, m, X, y)
         name = f"{family} {Q}x{m}"
-        evals[name] = {
-            "D": spec.n_rows,
-            "form": _form(spec.n_rows, ROWS),
-            "ms": median_ms(lambda: nlml_value_and_grad(spec, stacks, X, y, h), args.repeats),
-        }
+        work, usage = {}, {}
+        ms = median_ms(lambda: nlml_value_and_grad(spec, stacks, X, y, h, work=work), args.repeats, usage=usage)
+        evals[name] = {"D": spec.n_rows, "form": _form(spec.n_rows, ROWS), "ms": ms, **usage}
         spec_h, _ = ft.unpack_hyper(spec, h)
         features[name] = median_ms(lambda: ft.compute_features(spec_h, stacks, X), args.repeats)
         co[name] = co_matrix_ms(*weighted(spec, stacks, X, h), args.repeats)

@@ -371,15 +371,19 @@ def _scaled_inputs(spec: KernelSpec, q: int, X: np.ndarray) -> np.ndarray:
     return X * np.exp(spec.field("log_sd", q))
 
 
-def compute_features(spec: KernelSpec, stacks, X: np.ndarray) -> DesignMatrix:
+def compute_features(spec: KernelSpec, stacks, X: np.ndarray, *, out=None) -> DesignMatrix:
     """Assemble the (D_feat, n) design matrix for spec at inputs X (n, d_in).
 
-    The matrix is point-major (Fortran order).  Each stack is built once, as
-    op = project(stack, I_{d_in}); projecting the identity adds 2 d_in^2 m'
-    flops, d_in / n of the product's.  The product xi = op^T xs^T runs in
-    the trig pass (_project_sincos), one cache-sized column chunk at a
-    time, so the (m', n) frequencies never exist whole: besides the design
-    matrix, a call holds the operators, xs and a few chunks.
+    The matrix is point-major (Fortran order): a new array, or out, a
+    Fortran-order (D_feat, n) float64 array (else DimensionError) that it
+    overwrites, so that a caller building features again and again (an
+    evaluation's workspace, a prediction's blocks) reuses one.  Each stack
+    is built once, as op = project(stack, I_{d_in}); projecting the
+    identity adds 2 d_in^2 m' flops, d_in / n of the product's.  The
+    product xi = op^T xs^T runs in the trig pass (_project_sincos), one
+    cache-sized column chunk at a time, so the (m', n) frequencies never
+    exist whole: besides the design matrix, a call holds the operators, xs
+    and a few chunks.
 
     Every cos/sin pair (and gm's pairs at xi +/- the phase) comes from one
     tan of the half angle (_sincos): sin = 2t/(1+t^2), cos = 2/(1+t^2) - 1
@@ -401,7 +405,9 @@ def compute_features(spec: KernelSpec, stacks, X: np.ndarray) -> DesignMatrix:
     n = X.shape[0]
     m = spec.m_realized
     rpg = spec.rows_per_group
-    data = np.empty((spec.n_rows, n), order="F")
+    data = np.empty((spec.n_rows, n), order="F") if out is None else out
+    if data.shape != (spec.n_rows, n) or data.dtype != np.float64 or not data.flags.f_contiguous:
+        raise DimensionError(f"out must be a Fortran-order float64 ({spec.n_rows}, {n}) array")
     eye = np.eye(spec.d_in)
     phase = _has(spec.family, "mu")
     operators = []
@@ -474,6 +480,12 @@ def _sincos(x: np.ndarray, sin_out: np.ndarray, cos_out: np.ndarray, shift=None)
     np.subtract(r, 1.0, out=cos_out)
 
 
+def _trig_chain(a, cos_rows, b, sin_rows, out):
+    """a * cos_rows - b * sin_rows into out, with b as scratch."""
+    np.multiply(a, cos_rows, out=out)
+    return np.subtract(out, np.multiply(b, sin_rows, out=b), out=out)
+
+
 def feature_weight_matrix(spec: KernelSpec) -> np.ndarray:
     """Diagonal of V as a flat (D_feat,) array.
 
@@ -498,7 +510,7 @@ def param_info(spec: KernelSpec, index: int):
 
 
 def feature_param_gradients(
-    spec: KernelSpec, stacks, X: np.ndarray, M: np.ndarray, phi: DesignMatrix
+    spec: KernelSpec, stacks, X: np.ndarray, M: np.ndarray, phi: DesignMatrix, *, scratch
 ) -> np.ndarray:
     """Contract a co-matrix M (same shape as phi.data) against all dPhi/dtheta.
 
@@ -515,10 +527,14 @@ def feature_param_gradients(
     frequency k (s_mult, the hat kinds) its column sum k, which equals
     sum_n T * xi.  The G and B transforms run on C as well, so no stack is
     applied to the n data rows here.  The products run in scipy's BLAS, as
-    every product of an evaluation does (see ffgp.gp).
+    every product of an evaluation does (see ffgp.gp).  The chain rule runs
+    in place: it overwrites M (a float64 array) and scratch, a Fortran-order
+    (m', n) float64 array that holds each group's T in turn, so a call
+    allocates no array of M's size (gp's workspace passes both).
     """
     X = np.asarray(X, dtype=float)
     n, d_in, m = X.shape[0], spec.d_in, spec.m_realized
+    T = scratch
     rpg = spec.rows_per_group
     grad = np.zeros(spec.n_params)
     slot = spec.with_params(grad).field  # views into grad, laid out as params
@@ -529,15 +545,15 @@ def feature_param_gradients(
         if _has(fam, "mu"):
             sin_p, cos_p, sin_m, cos_m = phi.data[rows].reshape(4, m, n)
             Msp, Mcp, Msm, Mcm = M[rows].reshape(4, m, n)
-            t_plus = Msp * cos_p - Mcp * sin_p  # (m, n)
-            t_minus = Msm * cos_m - Mcm * sin_m
+            t_plus = _trig_chain(Msp, cos_p, Mcp, sin_p, out=Msp)
+            t_minus = _trig_chain(Msm, cos_m, Mcm, sin_m, out=Msm)
             # the phase moves the + rows by +x_j and the - rows by -x_j
-            slot("mu", q)[:] = matvec(X.T, (t_plus - t_minus).sum(axis=0))
-            T = t_plus + t_minus  # xi moves both
+            slot("mu", q)[:] = matvec(X.T, np.subtract(t_plus, t_minus, out=Mcp).sum(axis=0))
+            np.add(t_plus, t_minus, out=T)  # xi moves both
         else:
             cos_rows, sin_rows = phi.data[rows].reshape(2, m, n)
             Mc, Ms = M[rows].reshape(2, m, n)
-            T = Ms * cos_rows - Mc * sin_rows  # (m, n)
+            _trig_chain(Ms, cos_rows, Mc, sin_rows, out=T)
         # every xi-moving derivative is linear in C; the C-order (d_in, m)
         # transpose of T xs is what fwht_inplace needs below
         C = dgemm(1.0, T, _scaled_inputs(spec, q, X).T, trans_b=1).T

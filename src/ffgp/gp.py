@@ -45,7 +45,11 @@ the LAPACK calls behind it skip their own scans.
 W is Phi's own array wherever the caller built Phi only to weight it:
 nlml_value_and_grad, and train.fit through fit_posterior's overwrite_phi,
 scale Phi by V^{1/2} in place, so neither holds Phi and W at once.
-weighted_features and the default fit_posterior leave Phi as it is.
+weighted_features and the default fit_posterior leave Phi as it is.  An
+evaluation given a workspace (nlml_value_and_grad's work, one per fit)
+writes Phi, the Gram (factored in place by chol_with_jitter's overwrite_a),
+C and the chain rule's (m', n) array into the same four arrays every time,
+so it allocates only small vectors.
 """
 
 from __future__ import annotations
@@ -75,46 +79,60 @@ def _as_data(phi) -> np.ndarray:
     return phi.data if isinstance(phi, DesignMatrix) else np.asarray(phi, dtype=float)
 
 
-def _lower_cholesky(a: np.ndarray):
-    """Lower Cholesky factor of a copy of a, or None unless positive definite.
-
-    `dpotrf` without scipy's clean pass, which zeroes the upper triangle in
-    a slow strided loop: the strict upper triangle, which still holds a's,
-    is zeroed here a contiguous column at a time.
-    """
-    L, info = dpotrf(a, lower=1, clean=0)
-    if info != 0:  # a leading minor is not positive (a square array takes no bad argument)
-        return None
-    for j in range(1, L.shape[1]):
-        L[:j, j] = 0.0
-    return L
+def _buffer(work, name: str, shape) -> np.ndarray:
+    """work[name]: a Fortran-order float64 array of shape, stale contents,
+    allocated again only when the shape changes (a new one if work is None)."""
+    if work is None:
+        return np.empty(shape, order="F")
+    if name not in work or work[name].shape != shape:
+        work[name] = np.empty(shape, order="F")
+    return work[name]
 
 
-def chol_with_jitter(a: np.ndarray):
+def _mirror(a: np.ndarray, zero: bool = False) -> None:
+    """Copy a's strict lower triangle onto its strict upper one (zeroes it with
+    zero) in cache- and TLB-sized 128 x 128 tiles; _mirror(a.T) copies it back."""
+    upper = ~np.tri(128, dtype=bool)  # a diagonal tile's strict upper triangle
+    for j in range(0, a.shape[0], 128):
+        k = min(j + 128, a.shape[0])
+        for i in range(0, j, 128):
+            a[i : i + 128, j:k] = 0.0 if zero else a[j:k, i : i + 128].T
+        block = a[j:k, j:k]
+        np.copyto(block, 0.0 if zero else block.T, where=upper[: k - j, : k - j])
+
+
+def chol_with_jitter(a: np.ndarray, *, overwrite_a: bool = False):
     """Lower Cholesky factor with escalating diagonal jitter.
 
     Reads only the lower triangle of a, which must be finite (it is not
-    scanned), and leaves a as it was.  Starts at 1e-10 * trace/dim and
-    multiplies by 10 up to 1e-4 * trace before giving up.  Returns
-    (L, jitter_used).
+    scanned).  Starts at 1e-10 * trace/dim and multiplies by 10 up to
+    1e-4 * trace before giving up.  Returns (L, jitter_used).  By default a
+    is left as it was and L has a zero upper triangle.  overwrite_a=True
+    factors a Fortran-order float64 a (gp's own Grams) in place: L is a, its
+    strict upper triangle a copy of a's strict lower one, from which each
+    jitter rung restarts, so L may go only to lower-triangle readers
+    (`dtrtri`, `dtrmm`, cho_solve).  `dpotrf` skips scipy's slow clean pass.
     """
     dim = a.shape[0]
     if dim == 0:
         return np.zeros((0, 0)), 0.0
-    L = _lower_cholesky(a)
-    if L is not None:
-        return L, 0.0
-    trace = float(np.trace(a))
-    scale = max(trace, np.finfo(float).tiny)
-    jitter = 1e-10 * scale / dim
-    cap = 1e-4 * scale
-    eye = np.eye(dim)
-    while jitter <= cap:
-        L = _lower_cholesky(a + jitter * eye)
-        if L is not None:
-            return L, jitter
-        jitter *= 10.0
-    raise IllConditionedError(f"Cholesky failed after jitter escalation to {cap:g}")
+    if not overwrite_a:
+        a = np.array(a, dtype=float, order="F")
+    elif a.dtype != np.float64 or not a.flags.f_contiguous:
+        raise DimensionError("overwrite_a needs a Fortran-order float64 array")
+    scale = max(float(np.trace(a)), np.finfo(float).tiny)
+    diag = a.diagonal().copy()
+    _mirror(a)
+    jitter, step = 0.0, 1e-10 * scale / dim
+    while dpotrf(a, lower=1, clean=0, overwrite_a=1)[1] != 0:  # a leading minor is not positive
+        jitter, step = step, step * 10.0
+        if jitter > 1e-4 * scale:
+            raise IllConditionedError(f"Cholesky failed after jitter escalation to {1e-4 * scale:g}")
+        _mirror(a.T)
+        np.fill_diagonal(a, diag + jitter)
+    if not overwrite_a:
+        _mirror(a, zero=True)
+    return a, jitter
 
 
 def weighted_features(phi, weight_diag: np.ndarray) -> np.ndarray:
@@ -139,7 +157,8 @@ def _weighted(phi, weight_diag, overwrite: bool) -> np.ndarray:
         W *= np.sqrt(w)[:, None]
     else:
         W = np.sqrt(w)[:, None] * data
-    if not np.all(np.isfinite(W)):
+    # min and max propagate NaN, so this scans W twice without a D x n mask
+    if not (np.isfinite(W.min(initial=0.0)) and np.isfinite(W.max(initial=0.0))):
         raise DomainError("weighted features are not finite")
     return W
 
@@ -159,16 +178,19 @@ def _checked(phi, weight_diag, y, noise_var, min_points: int, overwrite: bool = 
     return W, y
 
 
-def _gram(W: np.ndarray, noise_var: float, trans: int) -> np.ndarray:
-    """Lower triangle of W W^T (trans=0) or W^T W (trans=1) plus sigma^2 I."""
-    G = dsyrk(1.0, W, lower=1, trans=trans)
+def _gram(W: np.ndarray, noise_var: float, trans: int, out=None) -> np.ndarray:
+    """Lower triangle of W W^T (trans=0) or W^T W (trans=1) plus sigma^2 I,
+    in out (Fortran-order, its strict upper triangle left as it was) when given."""
+    G = dsyrk(1.0, W, lower=1, trans=trans, c=out, overwrite_c=1)
     G[np.diag_indices_from(G)] += noise_var
     return G
 
 
-def _feature_solve(W: np.ndarray, y: np.ndarray, noise_var: float):
-    """Factor A = sigma^2 I_D + W W^T: returns (L, W y, u = A^{-1} W y)."""
-    L, _ = chol_with_jitter(_gram(W, noise_var, trans=0))
+def _feature_solve(W: np.ndarray, y: np.ndarray, noise_var: float, work=None):
+    """Factor A = sigma^2 I_D + W W^T in place, in work's Gram buffer:
+    returns (L, W y, u = A^{-1} W y), L's strict upper triangle not zeroed."""
+    D = W.shape[0]
+    L, _ = chol_with_jitter(_gram(W, noise_var, 0, _buffer(work, "gram", (D, D))), overwrite_a=True)
     Wy = matvec(W, y)
     return L, Wy, cho_solve((L, True), Wy, check_finite=False)
 
@@ -183,15 +205,18 @@ def _tri_inverse(L: np.ndarray, overwrite: bool) -> np.ndarray:
     return Linv
 
 
-def _co_matrix(L: np.ndarray, W: np.ndarray, side: int) -> np.ndarray:
+def _co_matrix(L: np.ndarray, W: np.ndarray, side: int, work=None) -> np.ndarray:
     """L^{-T} L^{-1} W (side=0) or W L^{-T} L^{-1} (side=1); overwrites L.
 
-    One in-place triangular inverse and two `dtrmm` products, which keep W's
-    point-major layout on either side.
+    One in-place triangular inverse and two in-place `dtrmm` products on a
+    copy of W in work's "co" buffer, which keep W's point-major layout on
+    either side and read only L's lower triangle.
     """
     Linv = _tri_inverse(L, overwrite=True)
-    B = dtrmm(1.0, Linv, W, side=side, lower=1, trans_a=side)
-    return dtrmm(1.0, Linv, B, side=side, lower=1, trans_a=1 - side, overwrite_b=1)
+    C = _buffer(work, "co", W.shape)
+    C[...] = W
+    dtrmm(1.0, Linv, C, side=side, lower=1, trans_a=side, overwrite_b=1)
+    return dtrmm(1.0, Linv, C, side=side, lower=1, trans_a=1 - side, overwrite_b=1)
 
 
 def _form(D: int, n: int) -> str:
@@ -199,7 +224,7 @@ def _form(D: int, n: int) -> str:
     return "feature" if D < n else "data"
 
 
-def _core(W: np.ndarray, y: np.ndarray, noise_var: float, mode: str):
+def _core(W: np.ndarray, y: np.ndarray, noise_var: float, mode: str, work=None):
     """NLML and its gradient ingredients in the chosen form.
 
     Returns a dict with f, the co-matrix C = A^{-1} W = W K^{-1} (D x n),
@@ -207,23 +232,25 @@ def _core(W: np.ndarray, y: np.ndarray, noise_var: float, mode: str):
     W (K^{-1} - alpha alpha^T) W^T) and tr(K^{-1}).  Each form solves only
     for its own C, alpha and u; r and tr(K^{-1}) both come from
     q = diag(W K^{-1} W^T), the row sums of C * W, for either form.  C
-    comes from _co_matrix, which consumes the factor, so it runs last.
+    comes from _co_matrix, which consumes the factor, so it runs last.  The
+    Gram is factored in place and C written in work's buffers ("gram",
+    "co"; new arrays when work is None).
     """
     D, n = W.shape
     if mode == "auto":
         mode = _form(D, n)
     if mode == "feature":
-        L, Wy, u = _feature_solve(W, y, noise_var)
+        L, Wy, u = _feature_solve(W, y, noise_var, work)
         logdet = 2.0 * np.sum(np.log(np.diag(L))) + (n - D) * np.log(noise_var)
         quad = (ddot(y, y) - ddot(Wy, u)) / noise_var
-        C = _co_matrix(L, W, side=0)
+        C = _co_matrix(L, W, 0, work)
         alpha = (y - matvec(W.T, u)) / noise_var
     elif mode == "data":
-        L, _ = chol_with_jitter(_gram(W, noise_var, trans=1))
+        L, _ = chol_with_jitter(_gram(W, noise_var, 1, _buffer(work, "gram", (n, n))), overwrite_a=True)
         alpha = cho_solve((L, True), y, check_finite=False)
         logdet = 2.0 * np.sum(np.log(np.diag(L)))
         quad = ddot(y, alpha)
-        C = _co_matrix(L, W, side=1)
+        C = _co_matrix(L, W, 1, work)
         u = matvec(W, alpha)
     else:
         raise DomainError(f"unknown mode {mode!r}")
@@ -264,12 +291,14 @@ class PosteriorState:
 def fit_posterior(phi, weight_diag, y, noise_var, *, overwrite_phi: bool = False) -> PosteriorState:
     """beta = V^{1/2} A^{-1} (V^{1/2} Phi) y with A's Cholesky factor kept.
 
-    overwrite_phi=True lets W = V^{1/2} Phi overwrite a float64 phi in place
-    (train.fit passes the features it has just built), so the posterior
-    holds one D x n array instead of two; phi then holds W.
+    A is factored in its own array.  overwrite_phi=True lets W = V^{1/2} Phi
+    overwrite a float64 phi in place (train.fit passes the features it has
+    just built), so the posterior holds one D x n and one D x D array; phi
+    then holds W.
     """
     W, y = _checked(phi, weight_diag, y, noise_var, min_points=0, overwrite=overwrite_phi)
     L, _, u = _feature_solve(W, y, noise_var)
+    _mirror(L, zero=True)  # the factor leaves gp here
     w = np.array(weight_diag, dtype=float)  # a copy the state owns
     return PosteriorState(beta=np.sqrt(w) * u, chol_factor=L, noise_var=float(noise_var), weight_diag=w)
 
@@ -303,7 +332,7 @@ def predict(state: PosteriorState, phi_star, *, overwrite_phi: bool = False):
 # ---- training objective ---------------------------------------------------
 
 
-def nlml_value_and_grad(spec: KernelSpec, stacks, X, y, hyper, mode: str = "auto"):
+def nlml_value_and_grad(spec: KernelSpec, stacks, X, y, hyper, mode: str = "auto", *, work=None):
     """NLML and its exact gradient with respect to the packed hyper vector.
 
     hyper = [log noise-std, spec params...].  Gradient terms: the log
@@ -312,13 +341,18 @@ def nlml_value_and_grad(spec: KernelSpec, stacks, X, y, hyper, mode: str = "auto
     r = diag(W (K^{-1} - alpha alpha^T) W^T); everything else through the
     co-matrix M = C - u alpha^T contracted against the analytic feature
     derivatives of W (see the module docstring).  W is Phi scaled in place,
-    so an evaluation holds two D x n arrays, W and C (then M).
+    so an evaluation holds two D x n arrays, W and C (then M), plus the
+    Gram, which is factored in place, and the chain rule's (m', n) array.
+    work is a dict that keeps these four buffers ("design", "co", "gram",
+    "chain") from one call to the next, as train.fit's objective does; None
+    gives each call new ones.
     """
     spec_h, log_noise = unpack_hyper(spec, hyper)
     noise_var = np.exp(2.0 * log_noise)
-    phi = compute_features(spec_h, stacks, X)  # phi.data becomes W below
+    design = _buffer(work, "design", (spec.n_rows, np.shape(X)[0] if np.ndim(X) == 2 else 0))
+    phi = compute_features(spec_h, stacks, X, out=design)  # phi.data becomes W below
     W, y = _checked(phi, feature_weight_matrix(spec_h), y, noise_var, min_points=1, overwrite=True)
-    core = _core(W, y, noise_var, mode)
+    core = _core(W, y, noise_var, mode, work)
 
     grad = np.zeros(spec.n_hypers)
     grad[0] = noise_var * (core["tr_Kinv"] - ddot(core["alpha"], core["alpha"]))
@@ -327,7 +361,8 @@ def nlml_value_and_grad(spec: KernelSpec, stacks, X, y, hyper, mode: str = "auto
     # feature_param_gradients reads alongside W; the rank-one update is
     # `dger`, with no D x n temporary
     M = dger(-1.0, core["u"], core["alpha"], a=core["C"], overwrite_a=1)
-    grad[1:] = feature_param_gradients(spec_h, stacks, X, M, phi)
+    chain = _buffer(work, "chain", (spec.m_realized, W.shape[1]))
+    grad[1:] = feature_param_gradients(spec_h, stacks, X, M, phi, scratch=chain)
 
     rpg = spec_h.rows_per_group
     for idx, group in spec_h.weight_param_info():

@@ -29,13 +29,13 @@ from .hadamard import pad_geometry
 MAGIC = "ffgp-model"
 FORMAT_VERSION = 1
 _POSITIVE = ("noise_var", "x_std", "y_std")  # scales; everything stored must be finite
-# Prediction runs in row blocks of at most this many design-matrix bytes, so
-# its memory is two D x D factors (the unpacked L and R = L^{-1} V^{1/2},
-# 8 D^2 bytes each) plus one block of features, which the triangular
-# product overwrites, whatever the number of rows (compute_features forms
-# the frequencies a cache-sized chunk at a time).  Power-of-two row counts
-# keep the results within an ulp of a single-block prediction.
-_PREDICT_BLOCK_BYTES = 1 << 28
+# Prediction runs in row blocks of at most this many design-matrix bytes
+# (2,048 rows at D = 2560) in one buffer per call, which each block's
+# features fill and the triangular product overwrites, so its memory is two
+# D x D factors (the unpacked L and R = L^{-1} V^{1/2}, 8 D^2 bytes each)
+# plus one block, whatever the number of rows.  Power-of-two row counts keep
+# the results within an ulp of a single-block prediction.
+_PREDICT_BLOCK_BYTES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,12 @@ class TrainedModel:
         """(mean, variance) in original target units for raw-unit inputs.
 
         Rows go through compute_features and gp.predict in blocks of the
-        largest power of two <= _PREDICT_BLOCK_BYTES / (8 D) rows; each
-        block's features are overwritten in place and dropped before the
-        next block is built, and R is computed once per call.  Stored
-        values that are finite but extreme (a loaded file can hold any) can
-        overflow on the way; that raises DomainError instead of returning
-        inf or NaN.
+        largest power of two <= _PREDICT_BLOCK_BYTES / (8 D) rows.  Every
+        block's features go into one buffer (the last block into a leading
+        column view of it), which the product overwrites in place, and R is
+        computed once per call.  Stored values that are finite but extreme
+        (a loaded file can hold any) can overflow on the way; that raises
+        DomainError instead of returning inf or NaN.
         """
         X_raw = np.asarray(X_raw, dtype=float)
         single = X_raw.ndim == 1
@@ -83,12 +83,11 @@ class TrainedModel:
             stacks = build_stacks(self.spec, self.seed)
             state = self.posterior()
             X = self.standardization.apply_x(X_raw)
+            block = np.empty((self.spec.n_rows, min(rows, n)), order="F")
             for lo in range(0, n, rows):
-                # the product overwrites the block, which is dropped before
-                # the next one is built
-                phi = compute_features(self.spec, stacks, X[lo : lo + rows])
-                mean_s[lo : lo + rows], var_s[lo : lo + rows] = predict(state, phi, overwrite_phi=True)
-                del phi
+                hi = min(lo + rows, n)
+                phi = compute_features(self.spec, stacks, X[lo:hi], out=block[:, : hi - lo])
+                mean_s[lo:hi], var_s[lo:hi] = predict(state, phi, overwrite_phi=True)
             mean = self.standardization.undo_y(mean_s)
             var = self.standardization.undo_y_var(var_s)
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))):

@@ -217,13 +217,15 @@ def init_family(spec, stacks, X, y, rng, explore: float = 0.0, restart: int = 0)
 # ---- optimization loop ------------------------------------------------------
 
 
-def _make_objective(spec, stacks, X, y):
+def _make_objective(spec, stacks, X, y, work):
+    """(f, g), or (inf, zeros) where an evaluation fails; every evaluation
+    reuses the buffers of one workspace, work (see nlml_value_and_grad)."""
     n_hyper = spec.n_hypers
 
     def objective(h):
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                f, g = nlml_value_and_grad(spec, stacks, X, y, h)
+                f, g = nlml_value_and_grad(spec, stacks, X, y, h, work=work)
         except (IllConditionedError, DomainError, FloatingPointError, np.linalg.LinAlgError):
             # DomainError: non-finite features, or a spectrum parameter out
             # of its domain (a hat width that underflowed to 0)
@@ -272,7 +274,8 @@ def fit(spec, X, y, config: TrainConfig, standardization=None):
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise DomainError("X and y must be finite")
     stacks, starts = restart_starts(spec, X, y, config)
-    objective = _make_objective(spec, stacks, X, y)
+    work = {}
+    objective = _make_objective(spec, stacks, X, y, work)
     endpoints = [_lbfgs(objective, h0, config.restart_iters, config) for h0 in starts]
 
     values = np.array([f for f, _ in endpoints])
@@ -292,7 +295,11 @@ def fit(spec, X, y, config: TrainConfig, standardization=None):
 
     spec_fit, log_noise = unpack_hyper(spec, h_best)
     noise_var = float(np.exp(2.0 * log_noise))
-    phi = compute_features(spec_fit, stacks, X)
+    # the posterior's features reuse the evaluations' design array; the
+    # workspace's other arrays go first
+    design = work.pop("design", None)
+    work.clear()
+    phi = compute_features(spec_fit, stacks, X, out=design)
     state = fit_posterior(phi, feature_weight_matrix(spec_fit), y, noise_var, overwrite_phi=True)
     std = standardization if standardization is not None else Standardization.identity(X.shape[1])
     model = TrainedModel(

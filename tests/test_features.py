@@ -249,6 +249,23 @@ def test_compute_features_forms_no_frequency_array(family, Q, m):
     assert peak < 1.1 * 8 * spec.n_rows * n
 
 
+def test_compute_features_writes_into_out():
+    rng = np.random.default_rng(8)
+    spec = ft.KernelSpec.template("gm", 3, 2, 8)
+    spec = spec.with_params(spec.params + 0.1 * rng.standard_normal(spec.n_params))
+    stacks = ft.build_stacks(spec, 4)
+    X = rng.standard_normal((30, 3))
+    want = ft.compute_features(spec, stacks, X)
+    out = np.full((spec.n_rows, 30), np.nan, order="F")
+    got = ft.compute_features(spec, stacks, X, out=out)
+    assert got.data is out
+    np.testing.assert_array_equal(out, want.data)
+    for bad in (np.empty((spec.n_rows, 31), order="F"), np.empty((spec.n_rows, 30)),
+                np.empty((spec.n_rows, 30), dtype=np.float32, order="F")):
+        with pytest.raises(DimensionError):
+            ft.compute_features(spec, stacks, X, out=bad)
+
+
 def test_compute_features_calls_no_libm_trig():
     # np.sin and np.cos run in scalar libm, several times slower than the
     # SIMD tan _sincos builds both from, so every trig block goes through it
@@ -390,7 +407,8 @@ def test_feature_param_gradients_contract_jacobian(family, Q):
     X = rng.standard_normal((5, spec.d_in))
     phi = ft.compute_features(spec, stacks, X)
     M = rng.standard_normal(phi.data.shape)
-    got = ft.feature_param_gradients(spec, stacks, X, M, phi)
+    scratch = np.empty((spec.m_realized, X.shape[0]), order="F")
+    got = ft.feature_param_gradients(spec, stacks, X, M.copy(), phi, scratch=scratch)
     want = np.array([
         np.sum(M * feature_jacobian(spec, stacks, X, i)) for i in range(spec.n_params)
     ])

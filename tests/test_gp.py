@@ -267,6 +267,26 @@ def test_chol_matches_scipy_and_keeps_its_input():
         np.testing.assert_array_equal(given, before)
 
 
+def test_in_place_factor_matches_copying_path():
+    # overwrite_a factors the Gram in its own array and keeps the strict
+    # lower triangle in the strict upper one, so every rung of the jitter
+    # ladder restarts from it; L and the jitter equal the copying path's
+    rng = np.random.default_rng(6)
+    B, thin = rng.standard_normal((300, 400)), rng.standard_normal((300, 5))
+    for a in (B @ B.T, thin @ thin.T):  # the second has rank 5 and needs jitter
+        want, jitter = chol_with_jitter(a)
+        given = np.asfortranarray(np.tril(a) + np.triu(np.full_like(a, np.nan), 1))
+        L, got_jitter = chol_with_jitter(given, overwrite_a=True)
+        assert L is given and got_jitter == jitter
+        np.testing.assert_array_equal(np.tril(L), want)
+        np.testing.assert_array_equal(np.triu(L, 1), np.triu(a.T, 1))
+        # the ladder factors a + jitter I, bit for bit
+        np.testing.assert_array_equal(want, cholesky(a + jitter * np.eye(300), lower=True))
+    assert jitter > 0
+    with pytest.raises(DimensionError):
+        chol_with_jitter(np.ascontiguousarray(a), overwrite_a=True)
+
+
 def test_posterior_overwrite_phi_weights_in_place():
     phi, v, y = random_problem(21, 8000, 64)
     phi = np.asfortranarray(phi)
@@ -281,7 +301,8 @@ def test_posterior_overwrite_phi_weights_in_place():
     np.testing.assert_array_equal(got.beta, want.beta)
     np.testing.assert_array_equal(got.chol_factor, want.chol_factor)
     np.testing.assert_array_equal(phi, W)  # phi now holds W
-    # no second D x n array; the finite check's boolean temporary is an eighth of one
+    # no second D x n array; the Gram is factored in place and the finite
+    # check allocates no mask
     assert peak < 0.5 * phi.nbytes
 
 
@@ -363,6 +384,60 @@ def test_one_evaluation_holds_two_design_arrays(family, Q, m):
     finally:
         tracemalloc.stop()
     assert peak < 3.5 * 8 * spec.n_rows * n
+
+
+@pytest.mark.parametrize("mode", ["feature", "data"])
+@pytest.mark.parametrize("family, Q, m", DIGEST_SHAPES, ids=[s[0] for s in DIGEST_SHAPES])
+def test_shared_workspace_gives_the_bits_of_fresh_calls(family, Q, m, mode):
+    # one workspace through h1, h2, h1, then once more with every buffer
+    # filled with NaN: no stale design, Gram, upper-triangle or co-matrix
+    # value reaches f or g
+    rng = np.random.default_rng(zlib.crc32(family.encode()))
+    d, n = 3, 40
+    spec = ft.KernelSpec.template(family, d, Q, m)
+    spec = spec.with_params(spec.params + 0.1 * rng.standard_normal(spec.n_params))
+    stacks = ft.build_stacks(spec, seed=2)
+    X, y = rng.standard_normal((n, d)), rng.standard_normal(n)
+    h1 = ft.pack_hyper(spec, math.log(0.3))
+    h2 = h1 + 0.05 * rng.standard_normal(spec.n_hypers)
+    work = {}
+    for h in (h1, h2, h1, None):
+        if h is None:
+            for buffer in work.values():
+                buffer.fill(np.nan)
+            h = h2
+        f, g = nlml_value_and_grad(spec, stacks, X, y, h, mode=mode, work=work)
+        want_f, want_g = nlml_value_and_grad(spec, stacks, X, y, h, mode=mode)
+        assert f == want_f
+        np.testing.assert_array_equal(g, want_g)
+    assert sorted(work) == ["chain", "co", "design", "gram"]
+
+
+@pytest.mark.parametrize(
+    "family, Q, m, n",
+    [(family, Q, m, 8000) for family, Q, m in DIGEST_SHAPES] + [("pwl", 5, 256, 1350)],
+    ids=[s[0] for s in DIGEST_SHAPES] + ["pwl-data"],
+)
+def test_warm_workspace_evaluation_allocates_under_half_a_design_array(family, Q, m, n):
+    # with the design, Gram, co-matrix and chain-rule arrays reused, what an
+    # evaluation allocates is small vectors; one that allocated its own
+    # arrays read 2.65-3.10 D x n arrays
+    rng = np.random.default_rng(zlib.crc32(family.encode()))
+    d = 5
+    spec = ft.KernelSpec.template(family, d, Q, m)
+    spec = spec.with_params(spec.params + 0.1 * rng.standard_normal(spec.n_params))
+    stacks = ft.build_stacks(spec, seed=1)
+    X, y = rng.standard_normal((n, d)), rng.standard_normal(n)
+    h = ft.pack_hyper(spec, math.log(0.3))
+    work = {}
+    nlml_value_and_grad(spec, stacks, X, y, h, work=work)  # warm-up: fills the workspace
+    tracemalloc.start()
+    try:
+        nlml_value_and_grad(spec, stacks, X, y, h, work=work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 8 * spec.n_rows * n
 
 
 def fd_gradient(f, h, step=1e-5):

@@ -98,6 +98,28 @@ def test_blocked_prediction_matches_one_block(monkeypatch):
     np.testing.assert_allclose([mean, var], [whole[0][7], whole[1][7]], rtol=1e-12)
 
 
+def test_prediction_blocks_fill_one_buffer(monkeypatch):
+    # one buffer per call takes every block's features, the shorter last
+    # block in a leading-column view of it
+    model, _, _ = small_model(family="fard", d=2)
+    X = make_smooth(50, d=2, seed=3)[0]
+    whole = model.predict(X)
+    outs = []
+    compute = model_module.compute_features
+
+    def recorded(*args, out):
+        outs.append(out)
+        return compute(*args, out=out)
+
+    monkeypatch.setattr(model_module, "compute_features", recorded)
+    monkeypatch.setattr(model_module, "_PREDICT_BLOCK_BYTES", 8 * model.spec.n_rows * 16)
+    blocked = model.predict(X)
+    assert [out.shape[1] for out in outs] == [16, 16, 16, 2]
+    assert len({out.__array_interface__["data"][0] for out in outs}) == 1
+    assert all(out.flags.f_contiguous for out in outs)
+    np.testing.assert_allclose(blocked, whole, rtol=1e-12)
+
+
 def test_prediction_memory_is_set_by_the_block_not_the_rows(monkeypatch):
     spec = ft.KernelSpec.frbf(2, 256, lengthscale=0.8)
     D, rows, n = spec.n_rows, 64, 2048

@@ -92,6 +92,11 @@ def test_eval_timing_prints_an_evaluation_and_a_co_matrix_time_per_shape(capsys,
     assert [report["eval_ms"][name]["form"] for name in names] == ["feature", "data"]
     for name in names:
         assert report["eval_ms"][name]["ms"] > 0
+        # per evaluation over the timed calls, from getrusage of the process
+        assert isinstance(report["eval_ms"][name]["minor_faults"], int)
+        assert report["eval_ms"][name]["minor_faults"] >= 0
+        assert isinstance(report["eval_ms"][name]["kernel_ms"], float)
+        assert report["eval_ms"][name]["kernel_ms"] >= 0
         for layer in ("features_ms", "co_matrix_ms"):
             ms = report[layer][name]
             assert isinstance(ms, float) and ms > 0

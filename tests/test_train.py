@@ -248,7 +248,7 @@ def test_objective_maps_extreme_hypers_to_inf(family):
     Q = 1 if family in ("frbf", "fard") else 2
     spec = ft.KernelSpec.template(family, 2, Q, 8)
     stacks = ft.build_stacks(spec, 0)
-    objective = _make_objective(spec, stacks, X, y)
+    objective = _make_objective(spec, stacks, X, y, {})
     h0 = init_family(spec, stacks, X, y, np.random.default_rng(1))
     zeros = np.zeros(spec.n_hypers)
     for i in range(spec.n_hypers):
@@ -261,6 +261,25 @@ def test_objective_maps_extreme_hypers_to_inf(family):
                 np.testing.assert_array_equal(g, zeros)
             else:
                 assert np.all(np.isfinite(g)), (i, value)
+
+
+def test_fit_builds_every_design_matrix_in_one_array(monkeypatch):
+    # the workspace's design array, allocated by the first evaluation, takes
+    # every evaluation's features and then the posterior's
+    import ffgp.gp as gp_module
+    import ffgp.train as train_module
+
+    outs = []  # held, so no array's memory can be handed out again
+    for module in (gp_module, train_module):
+        def recorded(*args, out, _compute=module.compute_features):
+            outs.append(out)
+            return _compute(*args, out=out)
+
+        monkeypatch.setattr(module, "compute_features", recorded)
+    X, y = make_cosine(60, seed=1)
+    spec = ft.KernelSpec.template("gm", 1, 2, 8)
+    fit(spec, X, y, TrainConfig(max_iters=2, restart_count=2, restart_iters=2, seed=0))
+    assert len(outs) > 3 and all(out is outs[0] for out in outs)
 
 
 def test_fit_roundtrips_through_file(tmp_path):
