@@ -7,8 +7,10 @@ surrogate set, first 1350 rows, d=5, at the restart-0 initialization that
 fit's objective reuses it.  Per evaluation it also reports the minor page
 faults and the kernel-mode ms (`minor_faults`, `kernel_ms`), from getrusage
 of this process over the timed calls.  For the same shapes and point it
-times two layers alone: the design matrix (`ffgp.features.compute_features`, as
-`features_ms`) and the co-matrix C = A^{-1} W = W K^{-1}
+times three layers alone: the design matrix (`ffgp.features.compute_features`, as
+`features_ms`), one build of group 0's dense operator
+(`ffgp.fastfood._block_matrix` at the group's effective diagonals, as
+`operator_ms`) and the co-matrix C = A^{-1} W = W K^{-1}
 (`ffgp.gp._co_matrix`: one `dtrtri` and two `dtrmm`, as `co_matrix_ms`),
 in the form the evaluation picks, from a fresh copy of the Cholesky factor
 the evaluation uses.
@@ -28,6 +30,7 @@ import scipy
 
 import ffgp.features as ft
 from ffgp.data import fit_standardization, make_surrogate
+from ffgp.fastfood import _block_matrix
 from ffgp.gp import _co_matrix, _form, _gram, chol_with_jitter, nlml_value_and_grad, weighted_features
 from ffgp.train import TrainConfig, restart_starts
 
@@ -100,7 +103,7 @@ def main():
     args = parser.parse_args()
     X, y = surrogate()
 
-    evals, features, co = {}, {}, {}
+    evals, features, operator, co = {}, {}, {}, {}
     for family, Q, m in SHAPES:
         spec, stacks, h = restart0(family, Q, m, X, y)
         name = f"{family} {Q}x{m}"
@@ -109,6 +112,8 @@ def main():
         evals[name] = {"D": spec.n_rows, "form": _form(spec.n_rows, ROWS), "ms": ms, **usage}
         spec_h, _ = ft.unpack_hyper(spec, h)
         features[name] = median_ms(lambda: ft.compute_features(spec_h, stacks, X), args.repeats)
+        diagonals = ft._group_diagonals(spec_h, stacks, 0)
+        operator[name] = median_ms(lambda: _block_matrix(stacks[0], *diagonals), args.repeats)
         co[name] = co_matrix_ms(*weighted(spec, stacks, X, h), args.repeats)
 
     print(json.dumps({
@@ -119,6 +124,7 @@ def main():
         "scipy": scipy.__version__,
         "eval_ms": evals,
         "features_ms": features,
+        "operator_ms": operator,
         "co_matrix_ms": co,
     }))
 

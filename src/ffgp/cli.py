@@ -272,8 +272,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (FfgpError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (FfgpError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -126,26 +126,21 @@ def build_stack(
 
 def _block_matrix(stack: FastfoodStack, s_diag, g_diag, b_diag) -> np.ndarray:
     """The stack as a dense (d_in, m_total) operator: the butterfly run on the
-    rows of the (d_in, d_pad) identity, since padded input columns are zero."""
+    rows of the (d_in, d_pad) identity, since padded input columns are zero.
+    Every block goes through one pass over a (d_in, blocks, d_pad) array."""
     geo = stack.geometry
-    d = geo.d_pad
+    shape = (geo.blocks, geo.d_pad)
     s_all = stack.s_radii if s_diag is None else np.asarray(s_diag, dtype=float)
     g_all = stack.g_diag if g_diag is None else np.asarray(g_diag, dtype=float)
     b_all = stack.b_diag if b_diag is None else np.asarray(b_diag, dtype=float)
 
-    eye = np.eye(geo.d_in, d)
-    out = np.empty((geo.d_in, geo.m_total))
-    scale = 1.0 / np.sqrt(d)
-    for blk in range(geo.blocks):
-        lo = blk * d
-        v = eye * b_all[lo : lo + d]
-        fwht_inplace(v)
-        v = np.ascontiguousarray(v[:, stack.perms[blk]])
-        v *= g_all[lo : lo + d]
-        fwht_inplace(v)
-        v *= s_all[lo : lo + d] * scale
-        out[:, lo : lo + d] = v
-    return out
+    v = np.eye(geo.d_in, geo.d_pad)[:, None, :] * b_all.reshape(shape)
+    fwht_inplace(v)
+    v = np.take_along_axis(v, stack.perms[None], axis=2)
+    v *= g_all.reshape(shape)
+    fwht_inplace(v)
+    v *= (s_all * (1.0 / np.sqrt(geo.d_pad))).reshape(shape)
+    return v.reshape(geo.d_in, geo.m_total)
 
 
 def project(

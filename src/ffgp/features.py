@@ -581,22 +581,20 @@ def feature_param_gradients(
             slot("hat_sigma", q)[:] = float(np.sum(txi * (hat.sigma * hat_unit_quantile(u) / r)))
         if _has(fam, "g"):  # G and B (a layout with g has b): the butterfly's adjoint
             stack = stacks[q]
-            geo = stack.geometry
+            shape = (stack.geometry.blocks, stack.geometry.d_pad)
+            perms = stack.perms[None]
             s_eff, g_eff, b_eff = _group_diagonals(spec, stacks, q)
-            d = geo.d_pad
-            scale = 1.0 / np.sqrt(d)
-            g_grad, b_grad = slot("g", q), slot("b", q)
-            for blk in range(geo.blocks):
-                lo = blk * d
-                ct = C[:, lo : lo + d] * (s_eff[lo : lo + d] * scale)
-                fwht_inplace(ct)  # ct = H (s*C) / sqrt(d)
-                v = np.eye(d_in, d) * b_eff[lo : lo + d]
-                fwht_inplace(v)
-                w3 = v[:, stack.perms[blk]]  # post-permutation intermediate
-                g_grad[lo : lo + d] = np.einsum("jk,jk->k", w3, ct)
-                w2 = np.empty_like(ct)
-                w2[:, stack.perms[blk]] = ct * g_eff[lo : lo + d]
-                fwht_inplace(w2)  # w2 = L^T C for this block (no b)
-                # padded inputs are zero, so only the first d_in B entries move
-                b_grad[lo : lo + d_in] = w2.diagonal()
+            # C and the intermediates as (d_in, blocks, d_pad): every block at once
+            ct = (C * (s_eff * (1.0 / np.sqrt(shape[1])))).reshape(d_in, *shape)
+            fwht_inplace(ct)  # ct = H (s*C) / sqrt(d)
+            v = np.eye(d_in, shape[1])[:, None, :] * b_eff.reshape(shape)
+            fwht_inplace(v)
+            w3 = np.take_along_axis(v, perms, axis=2)  # post-permutation intermediate
+            slot("g", q).reshape(shape)[:] = np.einsum("jbk,jbk->bk", w3, ct)
+            ct *= g_eff.reshape(shape)
+            w2 = np.empty_like(ct)
+            np.put_along_axis(w2, perms, ct, axis=2)
+            fwht_inplace(w2)  # w2 = L^T C for each block (no b)
+            # padded inputs are zero, so only the first d_in B entries move
+            slot("b", q).reshape(shape)[:, :d_in] = w2.diagonal(axis1=0, axis2=2)
     return grad

@@ -15,6 +15,7 @@ its first features are FARD's.
 """
 
 import math
+import operator
 
 import numpy as np
 from dataclasses import dataclass
@@ -66,8 +67,9 @@ class TrainConfig:
             raise DomainError("iteration budgets must be >= 0")
         if self.gradient_tolerance <= 0:
             raise DomainError("gradient_tolerance must be positive")
-        if self.seed < 0:
+        if isinstance(self.seed, bool) or not hasattr(self.seed, "__index__") or operator.index(self.seed) < 0:
             raise DomainError("seed must be a non-negative integer")
+        object.__setattr__(self, "seed", operator.index(self.seed))  # a Python int, which json writes
 
 
 # ---- initialization recipes -------------------------------------------------

@@ -313,6 +313,19 @@ def test_folds_run_on_the_calling_thread(capsys, cosine_csv, monkeypatch, argv, 
     assert code == 0 and on_main == [True] * fits
 
 
+@pytest.mark.parametrize("exc,line", [
+    (MemoryError("Unable to allocate 21.8 TiB for an array"), "error: Unable to allocate 21.8 TiB for an array"),
+    (MemoryError(), "error: out of memory"),
+])
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, cosine_csv, monkeypatch, exc, line):
+    def fit(*args, **kwargs):  # raises as a too-large allocation would, without allocating
+        raise exc
+
+    monkeypatch.setattr(cli, "fit", fit)
+    argv = ["train", "--data", str(cosine_csv), "--kernel", "frbf", "--m", "8", "--out", str(tmp_path / "m.bin")]
+    assert run(capsys, argv + FAST) == (1, "", line + "\n")
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_is_usage_error(capsys, cosine_csv, jobs):
     for argv in (["eval", "--kernel", "frbf", "--m", "8"], ["bench", "--combo", "frbf:1:8"]):

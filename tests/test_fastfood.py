@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.linalg import hadamard
 
 from ffgp.errors import DimensionError, DomainError
 from ffgp.fastfood import build_stack, project, project_transpose, sample_chi_radii
@@ -41,6 +42,25 @@ def test_project_matches_dense_operator():
     Xp[:, :5] = X  # inputs are zero-padded into the Hadamard dimension
     V = dense_operator(stack)
     assert np.allclose(project(stack, X), Xp @ V.T, atol=1e-10)
+
+
+def test_project_matches_dense_operator_at_large_d():
+    # d_in=1000 pads to 1024, two blocks; each block's reference is built
+    # from scipy's dense Hadamard matrix with its own permutation
+    geo = pad_geometry(1000, 2048)
+    assert (geo.d_pad, geo.blocks) == (1024, 2)
+    stack = build_stack(21, geo, chi_sampler(geo.d_pad))
+    X = np.random.default_rng(1).standard_normal((3, 1000))
+    H = hadamard(1024, dtype=float)
+    want = []
+    for blk, perm in enumerate(stack.perms):
+        sl = slice(blk * 1024, (blk + 1) * 1024)
+        # G Pi H B as a matrix: (Pi H)[i] = H[perm[i]]
+        gph_b = stack.g_diag[sl, None] * H[perm] * stack.b_diag[sl]
+        V = (stack.s_radii[sl, None] / np.sqrt(1024)) * (H @ gph_b)
+        want.append(X @ V[:, :1000].T)  # padded input columns are zero
+    want = np.hstack(want)
+    np.testing.assert_allclose(project(stack, X), want, rtol=0, atol=1e-10 * np.abs(want).max())
 
 
 def test_project_transpose_is_the_adjoint():

@@ -415,6 +415,27 @@ def test_feature_param_gradients_contract_jacobian(family, Q):
     assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
 
 
+def test_g_and_b_gradients_match_the_oracle_at_large_d():
+    # d_in=1000 pads to 1024: two blocks, and b entries 1000..1023 of each
+    # block scale padded (zero) inputs, so their gradient is exactly 0
+    stacks = ft.build_stacks(ft.KernelSpec.template("fsgbard", 1000, 1, 2048), 6)
+    spec = ft.KernelSpec.fsgbard_from_stacks(1000, 1, 2048, np.full(1000, 30.0), stacks)
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((4, 1000))
+    phi = ft.compute_features(spec, stacks, X)
+    M = rng.standard_normal(phi.data.shape)
+    scratch = np.empty((spec.m_realized, X.shape[0]), order="F")
+    got = ft.feature_param_gradients(spec, stacks, X, M.copy(), phi, scratch=scratch)
+    index = spec.with_params(np.arange(spec.n_params, dtype=float)).field  # packed positions
+    coords = [("g", 3), ("g", 1024 + 700), ("b", 5), ("b", 1024 + 999), ("b", 1010), ("b", 1024 + 1023)]
+    for kind, k in coords:
+        i = int(index(kind, 0)[k])
+        want = np.sum(M * feature_jacobian(spec, stacks, X, i))
+        assert np.isclose(got[i], want, rtol=1e-9, atol=1e-9), (kind, k)
+        if kind == "b" and k % 1024 >= 1000:
+            assert got[i] == 0.0 and want == 0.0
+
+
 def test_validation_errors():
     with pytest.raises(DomainError):
         ft.KernelSpec.frbf(3, 4, lengthscale=-1.0)

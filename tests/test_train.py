@@ -44,6 +44,19 @@ def test_config_validation():
         TrainConfig(seed=-1)
 
 
+def test_seed_is_stored_as_a_python_int(tmp_path):
+    config = TrainConfig(max_iters=0, restart_count=1, restart_iters=0, seed=np.int64(3))
+    assert type(config.seed) is int and config.seed == 3
+    X, y = make_cosine(20, seed=0)
+    model, _ = fit(ft.KernelSpec.template("frbf", 1, 1, 8), X, y, config)
+    path = tmp_path / "m.bin"
+    save_model(model, path)  # json writes a Python int, not an np.int64
+    assert load_model(path).seed == 3
+    for bad in (True, False, 3.0, np.float64(3.0), "3", None):
+        with pytest.raises(DomainError):
+            TrainConfig(seed=bad)
+
+
 def test_quantile_convention():
     # linear-interpolation quantiles of 1..100 at the five candidate levels
     got = np.quantile(np.arange(1.0, 101.0), QUANTILE_LEVELS)
