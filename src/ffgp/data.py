@@ -200,18 +200,10 @@ def kfold_partitions(n: int, k: int = 10, seed: int = 0) -> list:
         raise InsufficientDataError(f"need n >= k, got n={n}, k={k}")
     if k < 2:
         raise DomainError(f"need k >= 2, got {k}")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    sizes = np.full(k, n // k)
-    sizes[: n % k] += 1
-    folds = []
-    stop = np.cumsum(sizes)
-    start = stop - sizes
-    for a, b in zip(start, stop):
-        test = np.sort(perm[a:b])
-        train = np.sort(np.concatenate((perm[:a], perm[b:])))
-        folds.append((train, test))
-    return folds
+    # array_split gives the first n % k folds the extra point
+    folds = np.array_split(np.random.default_rng(seed).permutation(n), k)
+    return [(np.sort(np.concatenate(folds[:i] + folds[i + 1:])), np.sort(test))
+            for i, test in enumerate(folds)]
 
 
 def rmse(predictions, targets) -> float:

@@ -259,16 +259,6 @@ def _core(W: np.ndarray, y: np.ndarray, noise_var: float, mode: str, work=None):
             "r": q - u**2, "tr_Kinv": (n - float(np.sum(q))) / noise_var}
 
 
-def neg_log_marginal_likelihood(phi, weight_diag, y, noise_var, mode: str = "auto") -> float:
-    """-log p(y) for the weight-space GP, never forming what it can avoid.
-
-    mode: "auto" picks the feature (dual) form when D < n, else the data
-    form; both available explicitly for cross-checking.
-    """
-    W, y = _checked(phi, weight_diag, y, noise_var, min_points=1)
-    return float(_core(W, y, noise_var, mode)["f"])
-
-
 @dataclass(frozen=True)
 class PosteriorState:
     """Everything prediction needs, O(D) + O(D^2), independent of n."""

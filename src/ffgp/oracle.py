@@ -7,6 +7,10 @@ library's inverse CDF), the GP solver works on the full n x n covariance,
 and the feature Jacobian derives each d(xi) from `project` one coordinate at
 a time, independently of the (C, op) contraction the training gradient uses.
 Guards keep instances small; oracles exist to verify, not to run.
+
+The one exception is neg_log_marginal_likelihood: it is the fast core's
+own value (gp._core), which no library code needs alone, kept here so that
+the tests can cross-check the core's feature and data forms.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from scipy.linalg import cholesky, hadamard, solve_triangular
 from .errors import DimensionError, DomainError, IllConditionedError
 from .fastfood import project
 from .features import KernelSpec, _group_diagonals, _scaled_inputs, param_info
+from .gp import _checked, _core
 from .hadamard import PadGeometry, fwht_inplace
 from .spectra import hat_radii, hat_unit_quantile
 
@@ -125,6 +130,23 @@ def exact_cross_gram(kernel: ExactKernel, xa: np.ndarray, xb: np.ndarray) -> np.
     raise DomainError(f"unknown oracle family {fam!r}")
 
 
+def gm_closed_form(components, tau) -> np.ndarray:
+    """Stationary mixture kernel value at lag(s) tau.
+
+    k(tau) = sum_q weight_q^2 * exp(-|diag(sigma_q) tau|^2 / 2) * cos(<mu_q, tau>)
+
+    tau may be a single lag (d,) or a batch (n, d).
+    """
+    tau = np.asarray(tau, dtype=float)
+    single = tau.ndim == 1
+    t = np.atleast_2d(tau)
+    out = np.zeros(t.shape[0])
+    for comp in components:
+        quad = np.sum((t * comp.sigma_diag) ** 2, axis=1)
+        out += comp.weight**2 * np.exp(-0.5 * quad) * np.cos(t @ comp.mu)
+    return out[0] if single else out
+
+
 def exact_gram(kernel: ExactKernel, X: np.ndarray) -> np.ndarray:
     """Dense symmetric Gram on one point set."""
     return exact_cross_gram(kernel, X, X)
@@ -177,6 +199,16 @@ def dense_gp_nlml_predict(gram, y, noise_var, cross_cov=None, prior_var=None):
     pv = np.asarray(prior_var, dtype=float)
     variances = pv + noise_var - np.einsum("ij,ij->j", half, half)
     return float(nlml), means, variances
+
+
+def neg_log_marginal_likelihood(phi, weight_diag, y, noise_var, mode: str = "auto") -> float:
+    """-log p(y) for the weight-space GP, from the fast core (gp._core).
+
+    mode: "auto" picks the feature (dual) form when D < n, else the data
+    form; both available explicitly for cross-checking.
+    """
+    W, y = _checked(phi, weight_diag, y, noise_var, min_points=1)
+    return float(_core(W, y, noise_var, mode)["f"])
 
 
 def _pad_cols(X: np.ndarray, geo: PadGeometry) -> np.ndarray:

@@ -189,20 +189,3 @@ class GmComponent:
             raise DomainError("mu and sigma_diag must have matching shapes")
         if np.any(sd < 0.0):
             raise DomainError("sigma_diag entries must be nonnegative")
-
-
-def gm_closed_form(components, tau) -> np.ndarray:
-    """Stationary mixture kernel value at lag(s) tau.
-
-    k(tau) = sum_q weight_q^2 * exp(-|diag(sigma_q) tau|^2 / 2) * cos(<mu_q, tau>)
-
-    tau may be a single lag (d,) or a batch (n, d).
-    """
-    tau = np.asarray(tau, dtype=float)
-    single = tau.ndim == 1
-    t = np.atleast_2d(tau)
-    out = np.zeros(t.shape[0])
-    for comp in components:
-        quad = np.sum((t * comp.sigma_diag) ** 2, axis=1)
-        out += comp.weight**2 * np.exp(-0.5 * quad) * np.cos(t @ comp.mu)
-    return out[0] if single else out

@@ -30,15 +30,21 @@ from ffgp.data import (
 from ffgp.errors import DomainError
 from ffgp.gp import (
     fit_posterior,
-    neg_log_marginal_likelihood,
     nlml_value_and_grad,
     predict,
     weighted_features,
 )
 from ffgp.hadamard import fwht_inplace
 from ffgp.model import save_model
-from ffgp.oracle import ExactKernel, dense_gp_nlml_predict, dense_hadamard_matrix, exact_cross_gram
-from ffgp.spectra import GmComponent, HatSpectrum, PwlSpectrum, gm_closed_form, systematic_radii
+from ffgp.oracle import (
+    ExactKernel,
+    dense_gp_nlml_predict,
+    dense_hadamard_matrix,
+    exact_cross_gram,
+    gm_closed_form,
+    neg_log_marginal_likelihood,
+)
+from ffgp.spectra import GmComponent, HatSpectrum, PwlSpectrum, systematic_radii
 from ffgp.train import TrainConfig, fit
 
 FAMILIES = ["frbf", "fard", "fsard", "fsgbard", "gm", "pwl"]

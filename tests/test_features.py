@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from ffgp import features as ft
 from ffgp.errors import DimensionError, DomainError
-from ffgp.oracle import feature_jacobian
-from ffgp.spectra import GmComponent, HatSpectrum, gm_closed_form, hat_radii
+from ffgp.oracle import feature_jacobian, gm_closed_form
+from ffgp.spectra import GmComponent, HatSpectrum, hat_radii
 
 
 def spec_zoo(m=4):

@@ -1,9 +1,14 @@
 """Reference-implementation checks: the oracle must be trustworthy before
 anything fast is compared against it."""
 
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ffgp
 from ffgp.errors import DimensionError, DomainError
 from ffgp.oracle import (
     MAX_ORACLE_N,
@@ -12,8 +17,9 @@ from ffgp.oracle import (
     dense_hadamard_matrix,
     exact_cross_gram,
     exact_gram,
+    gm_closed_form,
 )
-from ffgp.spectra import GmComponent, gm_closed_form
+from ffgp.spectra import GmComponent
 
 
 def test_dense_hadamard_is_orthogonal_pm1():
@@ -135,3 +141,30 @@ def test_dense_gp_jitter_continuity():
     f1, _, _ = dense_gp_nlml_predict(g, y, 0.1)
     f2, _, _ = dense_gp_nlml_predict(g + 1e-12 * np.eye(3), y, 0.1)
     assert np.isfinite(f1) and abs(f1 - f2) < 1e-6
+
+
+def _imported_modules(tree):
+    """Absolute names of every module an ffgp module's source imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["ffgp" if node.level else "", node.module]))
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_library_never_imports_the_oracle_and_exports_resolve():
+    # the oracle is for tests only, and the package exports what the README
+    # quickstart imports from it
+    package = Path(ffgp.__file__).parent
+    for path in package.glob("*.py"):
+        if path.name != "oracle.py":
+            found = set(_imported_modules(ast.parse(path.read_text())))
+            assert "ffgp.oracle" not in found, path.name
+    assert all(hasattr(ffgp, name) for name in ffgp.__all__)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quickstart = re.findall(r"^from ffgp import (.+)$", readme, re.M)
+    assert quickstart
+    for line in quickstart:
+        assert set(line.split(", ")) <= set(ffgp.__all__), line

@@ -8,11 +8,11 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from ffgp.errors import DegenerateSpectrumError, DomainError
+from ffgp.oracle import gm_closed_form
 from ffgp.spectra import (
     GmComponent,
     HatSpectrum,
     PwlSpectrum,
-    gm_closed_form,
     hat_radii,
     hat_unit_quantile,
     pwl_cdf,
