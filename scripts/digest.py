@@ -6,7 +6,10 @@ three restarts, the NLML and gradient at each, `param_info` for every
 packed index, `weight_param_info`, and the bytes of a model saved after a
 short `fit`.  A second line per family, `predict <family> <sha256>`, hashes
 that model's `predict` (mean, then variance) on the next `HELD_OUT` rows
-of the surrogate set, in raw units.
+of the surrogate set, in raw units.  A third, `data <family> <sha256>`,
+hashes the NLML and gradient at the same three starts in the data form
+(`mode="data"`): at these shapes (D <= 128 < n) every other line runs the
+feature form only.
 Two source trees that print the same lines compute the same numbers bit for
 bit, so a change meant to keep behaviour can show it by running this script
 on both.
@@ -46,14 +49,17 @@ CONFIG = TrainConfig(max_iters=3, restart_count=2, restart_iters=2, seed=0)
 
 
 def family_digest(family, Q, m, X, y, std, X_held):
-    """(training digest, prediction digest) of one family."""
-    h = hashlib.sha256()
+    """(training digest, prediction digest, data-form digest) of one family."""
+    h, data = hashlib.sha256(), hashlib.sha256()
     spec = ft.KernelSpec.template(family, X.shape[1], Q, m)
     stacks, starts = restart_starts(spec, X, y, replace(CONFIG, restart_count=RESTARTS))
     for h0 in starts:
         f, g = nlml_value_and_grad(spec, stacks, X, y, h0)
         for arr in (h0, np.array([f]), g):
             h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        f, g = nlml_value_and_grad(spec, stacks, X, y, h0, mode="data")
+        for arr in (np.array([f]), g):
+            data.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     h.update(repr([ft.param_info(spec, i) for i in range(spec.n_params)]).encode())
     h.update(repr(spec.weight_param_info()).encode())
     model, _ = fit(spec, X, y, CONFIG, standardization=std)
@@ -64,7 +70,7 @@ def family_digest(family, Q, m, X, y, std, X_held):
             h.update(fh.read())
     mean, var = model.predict(X_held)
     pred = hashlib.sha256(np.concatenate([mean, var]).astype("<f8").tobytes())
-    return h.hexdigest(), pred.hexdigest()
+    return h.hexdigest(), pred.hexdigest(), data.hexdigest()
 
 
 def blas_threads() -> str:
@@ -93,10 +99,12 @@ def main():
     X, y = std.apply_x(X), std.apply_y(y)
     digests = [family_digest(family, Q, m, X, y, std, X_all[ROWS : ROWS + HELD_OUT])
                for family, Q, m in SHAPES]
-    for (family, _, _), (train, _) in zip(SHAPES, digests):
+    for (family, _, _), (train, _, _) in zip(SHAPES, digests):
         print(f"{family}\t{train}")
-    for (family, _, _), (_, pred) in zip(SHAPES, digests):
+    for (family, _, _), (_, pred, _) in zip(SHAPES, digests):
         print(f"predict {family} {pred}")
+    for (family, _, _), (_, _, data) in zip(SHAPES, digests):
+        print(f"data {family} {data}")
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ All randomness flows from --seed (env ALACARTE_SEED as fallback).  Reports
 go to stdout (and --out), byte-identical across runs with equal flags and
 seed; wall-clock timings go to stderr.  eval and bench share one k-fold
 path: eval cross-validates one (kernel, Q, m), bench each --combo, and all
-usage errors come before the first fit.  Folds are fitted one after another
+usage errors come before --data is read.  Folds are fitted one after another
 on the calling thread; each BLAS call already uses every core.
 """
 
@@ -59,7 +59,9 @@ def _resolve_target(value):
         return value
 
 
-def _spec_template(parser, family, d_in, Q, m):
+def _shape(parser, family, Q, m):
+    """(family, Q, m) with the family's defaults for unset Q and m, checked
+    before any data is read."""
     dq, dm = FAMILY_DEFAULTS[family]
     Q = dq if Q is None else Q
     m = dm if m is None else m
@@ -67,7 +69,7 @@ def _spec_template(parser, family, d_in, Q, m):
         parser.error("--Q and --m must be >= 1")
     if family in ("frbf", "fard") and Q != 1:
         parser.error(f"{family} is a single-component kernel; use --Q 1")
-    return KernelSpec.template(family, d_in, Q, m)
+    return family, Q, m
 
 
 def _note_rejected(n_rejected):
@@ -111,19 +113,19 @@ def _run_folds(template, ds, k, config):
 
 
 def _cross_validate(args, parser, combos):
-    """[(combo, fold results)] per (kernel, Q, m); all usage errors precede the first
-    fit, and a generator of combos is parsed after the --folds and --jobs checks."""
+    """[(combo, fold results)] per (kernel, Q, m); all usage errors precede reading
+    --data, and a generator of combos is parsed after the --folds and --jobs checks."""
     seed = _resolve_seed(args, parser)
     if args.folds < 2:
         parser.error("--folds must be >= 2")
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    combos = list(combos)
+    combos = [_shape(parser, *combo) for combo in combos]
     if not combos:
         parser.error("at least one --combo kernel:Q:m is required")
     config = _train_config(args, seed, parser)
     ds = _load_table(args)
-    templates = [_spec_template(parser, family, ds.d, Q, m) for family, Q, m in combos]
+    templates = [KernelSpec.template(family, ds.d, Q, m) for family, Q, m in combos]
     return [(c, _run_folds(t, ds, args.folds, config)) for c, t in zip(combos, templates)]
 
 
@@ -146,9 +148,9 @@ def _write_report(lines, out):
 
 def cmd_train(args, parser):
     config = _train_config(args, _resolve_seed(args, parser), parser)
+    family, Q, m = _shape(parser, args.kernel, args.Q, args.m)
     ds = _load_table(args)
-    template = _spec_template(parser, args.kernel, ds.d, args.Q, args.m)
-    model, nlml, elapsed = _fit_timed(template, ds.X, ds.y, config)
+    model, nlml, elapsed = _fit_timed(KernelSpec.template(family, ds.d, Q, m), ds.X, ds.y, config)
     save_model(model, args.out)
     spec = model.spec
     print(

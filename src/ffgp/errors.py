@@ -30,7 +30,8 @@ class InsufficientDataError(FfgpError, ValueError):
 
 
 class OptimizationFailureError(FfgpError, RuntimeError):
-    """Every restart diverged.  best_hyper carries the best finite iterate, if any."""
+    """Every restart diverged.  best_hyper is restart 0's starting hyper vector
+    (no restart reached a finite iterate) and best_value is inf."""
 
     def __init__(self, message, best_hyper=None, best_value=None):
         super().__init__(message)

@@ -3,12 +3,13 @@
 With W = V^{1/2} Phi (D feature rows, n points) the model covariance is
 K_y = W^T W + sigma^2 I_n, and everything routes through one of two forms:
 
-  feature form (D < n):  A = sigma^2 I_D + W W^T
+  feature form (D < n):  factor A = sigma^2 I_D + W W^T, solve u = A^{-1} W y
       log|K_y| = log|A| + (n - D) log sigma^2
-      y^T K_y^{-1} y = (y^T y - (Wy)^T A^{-1} (Wy)) / sigma^2
-  data form (D >= n):    K_y assembled directly (n x n)
+      y^T K_y^{-1} y = (y^T y - (Wy)^T u) / sigma^2
+  data form (D >= n):    factor K_y (n x n), solve alpha = K_y^{-1} y
 
-Both are exact; the switch is purely computational.  Every gradient
+Both are exact and differ only in the Gram's side and the vector solved;
+the switch is purely computational.  Every gradient
 ingredient comes from the co-matrix C = A^{-1} W = W K_y^{-1}
 (push-through identity): q = diag(W K_y^{-1} W^T) is the row sums of C * W
 and tr(K_y^{-1}) = (n - sum q) / sigma^2, so no inverse of A or K_y is
@@ -186,15 +187,6 @@ def _gram(W: np.ndarray, noise_var: float, trans: int, out=None) -> np.ndarray:
     return G
 
 
-def _feature_solve(W: np.ndarray, y: np.ndarray, noise_var: float, work=None):
-    """Factor A = sigma^2 I_D + W W^T in place, in work's Gram buffer:
-    returns (L, W y, u = A^{-1} W y), L's strict upper triangle not zeroed."""
-    D = W.shape[0]
-    L, _ = chol_with_jitter(_gram(W, noise_var, 0, _buffer(work, "gram", (D, D))), overwrite_a=True)
-    Wy = matvec(W, y)
-    return L, Wy, cho_solve((L, True), Wy, check_finite=False)
-
-
 def _tri_inverse(L: np.ndarray, overwrite: bool) -> np.ndarray:
     """L^{-1} of a lower-triangular factor by `dtrtri`, in place when
     overwrite (and L is Fortran-ordered); IllConditionedError on a zero
@@ -229,31 +221,32 @@ def _core(W: np.ndarray, y: np.ndarray, noise_var: float, mode: str, work=None):
 
     Returns a dict with f, the co-matrix C = A^{-1} W = W K^{-1} (D x n),
     alpha = K^{-1} y, u = W alpha, r (per-feature-row diagonal of
-    W (K^{-1} - alpha alpha^T) W^T) and tr(K^{-1}).  Each form solves only
-    for its own C, alpha and u; r and tr(K^{-1}) both come from
-    q = diag(W K^{-1} W^T), the row sums of C * W, for either form.  C
-    comes from _co_matrix, which consumes the factor, so it runs last.  The
-    Gram is factored in place and C written in work's buffers ("gram",
-    "co"; new arrays when work is None).
+    W (K^{-1} - alpha alpha^T) W^T) and tr(K^{-1}).  The form picks the
+    Gram's side (A for 0, K for 1) and the vector its one solve gives (u,
+    or alpha); r and tr(K^{-1}) both come from q = diag(W K^{-1} W^T), the
+    row sums of C * W.  C comes from _co_matrix, which consumes the factor,
+    so it runs last.  The Gram is factored in place and C written in work's
+    buffers ("gram", "co"; new arrays when work is None).
     """
     D, n = W.shape
-    if mode == "auto":
-        mode = _form(D, n)
-    if mode == "feature":
-        L, Wy, u = _feature_solve(W, y, noise_var, work)
-        logdet = 2.0 * np.sum(np.log(np.diag(L))) + (n - D) * np.log(noise_var)
-        quad = (ddot(y, y) - ddot(Wy, u)) / noise_var
-        C = _co_matrix(L, W, 0, work)
-        alpha = (y - matvec(W.T, u)) / noise_var
-    elif mode == "data":
-        L, _ = chol_with_jitter(_gram(W, noise_var, 1, _buffer(work, "gram", (n, n))), overwrite_a=True)
-        alpha = cho_solve((L, True), y, check_finite=False)
-        logdet = 2.0 * np.sum(np.log(np.diag(L)))
-        quad = ddot(y, alpha)
-        C = _co_matrix(L, W, 1, work)
-        u = matvec(W, alpha)
-    else:
+    form = _form(D, n) if mode == "auto" else mode
+    if form not in ("feature", "data"):
         raise DomainError(f"unknown mode {mode!r}")
+    side = int(form == "data")
+    size = W.shape[side]
+    L, _ = chol_with_jitter(_gram(W, noise_var, side, _buffer(work, "gram", (size, size))), overwrite_a=True)
+    logdet = 2.0 * np.sum(np.log(np.diag(L))) + (n - size) * np.log(noise_var)
+    rhs = matvec(W, y) if side == 0 else y
+    solved = cho_solve((L, True), rhs, check_finite=False)  # u = A^{-1} W y, or alpha = K^{-1} y
+    if side == 0:  # alpha and y^T K^{-1} y by push-through
+        u = solved
+        alpha = (y - matvec(W.T, u)) / noise_var
+        quad = (ddot(y, y) - ddot(rhs, u)) / noise_var
+    else:
+        alpha = solved
+        u = matvec(W, alpha)
+        quad = ddot(y, alpha)
+    C = _co_matrix(L, W, side, work)
     q = np.einsum("in,in->i", C, W)
     return {"f": 0.5 * (n * np.log(2.0 * np.pi) + logdet + quad), "C": C, "alpha": alpha, "u": u,
             "r": q - u**2, "tr_Kinv": (n - float(np.sum(q))) / noise_var}
@@ -287,7 +280,8 @@ def fit_posterior(phi, weight_diag, y, noise_var, *, overwrite_phi: bool = False
     then holds W.
     """
     W, y = _checked(phi, weight_diag, y, noise_var, min_points=0, overwrite=overwrite_phi)
-    L, _, u = _feature_solve(W, y, noise_var)
+    L, _ = chol_with_jitter(_gram(W, noise_var, 0), overwrite_a=True)
+    u = cho_solve((L, True), matvec(W, y), check_finite=False)
     _mirror(L, zero=True)  # the factor leaves gp here
     w = np.array(weight_diag, dtype=float)  # a copy the state owns
     return PosteriorState(beta=np.sqrt(w) * u, chol_factor=L, noise_var=float(noise_var), weight_diag=w)

@@ -49,14 +49,6 @@ class TrainedModel:
     standardization: Standardization
     n_train: int
 
-    def posterior(self) -> PosteriorState:
-        return PosteriorState(
-            beta=self.beta,
-            chol_factor=self.chol_factor,
-            noise_var=self.noise_var,
-            weight_diag=feature_weight_matrix(self.spec),
-        )
-
     def predict(self, X_raw):
         """(mean, variance) in original target units for raw-unit inputs.
 
@@ -81,7 +73,8 @@ class TrainedModel:
         mean_s, var_s = np.empty(n), np.empty(n)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             stacks = build_stacks(self.spec, self.seed)
-            state = self.posterior()
+            state = PosteriorState(beta=self.beta, chol_factor=self.chol_factor,
+                                   noise_var=self.noise_var, weight_diag=feature_weight_matrix(self.spec))
             X = self.standardization.apply_x(X_raw)
             block = np.empty((self.spec.n_rows, min(rows, n)), order="F")
             for lo in range(0, n, rows):

@@ -358,6 +358,34 @@ def test_bad_fit_budget_is_usage_error(capsys, cosine_csv, tmp_path, flag, value
     assert not (tmp_path / "x.bin").exists()
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [(["train", "--kernel", "gm", "--Q", "0", "--m", "4"], "--Q and --m must be >= 1"),
+     (["train", "--kernel", "fard", "--m", "0"], "--Q and --m must be >= 1"),
+     (["train", "--kernel", "frbf", "--Q", "2"], "frbf is a single-component kernel; use --Q 1"),
+     (["eval", "--kernel", "gm", "--m", "-1", "--folds", "2"], "--Q and --m must be >= 1"),
+     (["eval", "--kernel", "fard", "--Q", "3", "--folds", "2"],
+      "fard is a single-component kernel; use --Q 1"),
+     (["eval", "--kernel", "frbf", "--m", "8", "--folds", "1"], "--folds must be >= 2"),
+     (["bench", "--combo", "frbf:2:4", "--folds", "2"], "frbf is a single-component kernel; use --Q 1"),
+     (["bench", "--combo", "gm:1:0", "--folds", "2"], "--combo Q and m must be >= 1"),
+     (["bench", "--combo", "gm:1:4", "--folds", "1"], "--folds must be >= 2")],
+    ids=["train-Q0", "train-m0", "train-frbf-Q2", "eval-m-1", "eval-fard-Q3", "eval-folds1",
+         "bench-frbf-Q2", "bench-m0", "bench-folds1"],
+)
+def test_bad_shape_or_folds_is_usage_error_before_the_data_is_read(capsys, tmp_path, argv, message):
+    # a missing --data file would be exit 1; the usage error comes first
+    out = ["--out", str(tmp_path / "x.bin")] if argv[0] == "train" else []
+    with pytest.raises(SystemExit) as exc:
+        main(argv + out + ["--data", str(tmp_path / "missing.csv")] + FAST)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and errors[0].endswith(f"error: {message}")
+    assert captured.out == ""
+    assert not (tmp_path / "x.bin").exists()
+
+
 def test_zero_fit_budgets_train(capsys, cosine_csv, tmp_path):
     # zero iterations keep the best initialization (the benchmark trains this way)
     out = tmp_path / "m.bin"

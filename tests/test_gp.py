@@ -103,22 +103,29 @@ def test_co_matrix_rejects_singular_factor():
 
 @pytest.mark.parametrize("mode", ["feature", "data"])
 def test_likelihood_solves_take_vectors_only(mode, monkeypatch):
-    # the co-matrix comes from _co_matrix; cho_solve is left the solves for alpha or u
+    # either form factors one Gram; the co-matrix comes from _co_matrix, so
+    # cho_solve is left the one solve for u or alpha
     rng = np.random.default_rng(9)
     spec = ft.KernelSpec.template("gm", 2, 2, 4)
     stacks = ft.build_stacks(spec, seed=1)
     X = rng.standard_normal((30, 2))
     y = rng.standard_normal(30)
-    right_sides = []
-    cho_solve = gp.cho_solve
+    right_sides, factored = [], []
+    cho_solve, chol_with_jitter = gp.cho_solve, gp.chol_with_jitter
 
     def recorded(factor, b, **kwargs):
         right_sides.append(np.ndim(b))
         return cho_solve(factor, b, **kwargs)
 
+    def counted(a, **kwargs):
+        factored.append(a.shape)
+        return chol_with_jitter(a, **kwargs)
+
     monkeypatch.setattr(gp, "cho_solve", recorded)
+    monkeypatch.setattr(gp, "chol_with_jitter", counted)
     nlml_value_and_grad(spec, stacks, X, y, ft.pack_hyper(spec, math.log(0.3)), mode=mode)
     assert right_sides == [1]
+    assert factored == [(spec.n_rows,) * 2 if mode == "feature" else (30, 30)]
 
 
 def test_feature_and_data_forms_agree():
@@ -532,8 +539,8 @@ def test_one_operator_build_per_group_per_evaluation(family, monkeypatch):
 @pytest.mark.parametrize(
     "func",
     [ft.compute_features, ft.feature_param_gradients, _co_matrix, _core, nlml_value_and_grad,
-     predict, ff.project, ft._project_sincos, ff._block_matrix, _gram, gp._feature_solve,
-     gp._weighted, fit_posterior, TrainedModel.predict],
+     predict, ff.project, ft._project_sincos, ff._block_matrix, _gram, gp._weighted,
+     fit_posterior, TrainedModel.predict],
     ids=lambda func: func.__qualname__,
 )
 def test_evaluation_products_run_in_scipy_blas(func):

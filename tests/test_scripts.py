@@ -32,13 +32,15 @@ def test_digest_prints_one_stable_hash_per_family(capsys):
         assert re.fullmatch(r"blas_threads=(\d+|unknown)\n", captured.err)
     lines = outputs[0].splitlines()
     families = [s[0] for s in digest.SHAPES]
-    # the six training lines, then one prediction line per family
-    train, pred = lines[:6], lines[6:]
+    # the six training lines, then one prediction and one data-form line per family
+    train, pred, data = lines[:6], lines[6:12], lines[12:]
     assert [ln.split("\t")[0] for ln in train] == families
     assert all(re.fullmatch(r"[a-z]+\t[0-9a-f]{64}", ln) for ln in train)
     assert [ln.split(" ")[1] for ln in pred] == families
     assert all(re.fullmatch(r"predict [a-z]+ [0-9a-f]{64}", ln) for ln in pred)
-    assert len(lines) == 12 and outputs[0] == outputs[1]
+    assert [ln.split(" ")[1] for ln in data] == families
+    assert all(re.fullmatch(r"data [a-z]+ [0-9a-f]{64}", ln) for ln in data)
+    assert len(lines) == 18 and outputs[0] == outputs[1]
 
 
 def test_eval_timing_starts_where_fit_starts():

@@ -11,6 +11,7 @@ from ffgp.data import make_cosine
 from ffgp.errors import (
     DimensionError,
     DomainError,
+    IllConditionedError,
     InsufficientDataError,
     OptimizationFailureError,
 )
@@ -232,21 +233,23 @@ def test_fit_rejects_nonfinite_inputs():
         fit(spec, X, np.tile([1e200, -1e200], 5), TrainConfig())
 
 
-def test_all_restarts_diverging_raises(monkeypatch):
-    # force every likelihood evaluation to diverge; the protocol must
-    # surface the failure with the first endpoint attached
+@pytest.mark.parametrize("restart_iters", [0, 2])
+def test_all_restarts_diverging_raises(monkeypatch, restart_iters):
+    # every likelihood evaluation fails, through L-BFGS as well (restart_iters
+    # 2); the protocol must surface the failure with restart 0's start attached
     import ffgp.train as tr
 
+    def failing(*args, **kwargs):
+        raise IllConditionedError("forced")
+
     spec = ft.KernelSpec.template("frbf", 1, 1, 8)
-    monkeypatch.setattr(
-        tr, "nlml_value_and_grad", lambda *a, **k: (np.inf, np.zeros(spec.n_hypers))
-    )
+    monkeypatch.setattr(tr, "nlml_value_and_grad", failing)
     X, y = make_cosine(20, seed=6)
-    config = TrainConfig(max_iters=0, restart_count=2, restart_iters=0, seed=0)
+    config = TrainConfig(max_iters=2, restart_count=2, restart_iters=restart_iters, seed=0)
     with pytest.raises(OptimizationFailureError) as err:
         fit(spec, X, y, config)
     assert err.value.best_value == np.inf
-    assert err.value.best_hyper.shape == (spec.n_hypers,)
+    np.testing.assert_array_equal(err.value.best_hyper, restart_starts(spec, X, y, config)[1][0])
 
 
 @pytest.mark.parametrize("family", ft.FAMILIES)
