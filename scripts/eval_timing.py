@@ -7,9 +7,10 @@ surrogate set, first 1350 rows, d=5, at the restart-0 initialization that
 fit's objective reuses it.  Per evaluation it also reports the minor page
 faults and the kernel-mode ms (`minor_faults`, `kernel_ms`), from getrusage
 of this process over the timed calls.  For the same shapes and point it
-times three layers alone: the design matrix (`ffgp.features.compute_features`, as
-`features_ms`), one build of group 0's dense operator
-(`ffgp.fastfood._block_matrix` at the group's effective diagonals, as
+times four layers alone: the design matrix (`ffgp.features.compute_features`, as
+`features_ms`), group 0's effective diagonals, radii included
+(`ffgp.features._group_diagonals`, as `diagonals_ms`), one build of its
+dense operator (`ffgp.fastfood._block_matrix` at those diagonals, as
 `operator_ms`) and the co-matrix C = A^{-1} W = W K^{-1}
 (`ffgp.gp._co_matrix`: one `dtrtri` and two `dtrmm`, as `co_matrix_ms`),
 in the form the evaluation picks, from a fresh copy of the Cholesky factor
@@ -103,7 +104,7 @@ def main():
     args = parser.parse_args()
     X, y = surrogate()
 
-    evals, features, operator, co = {}, {}, {}, {}
+    evals, features, diagonals, operator, co = {}, {}, {}, {}, {}
     for family, Q, m in SHAPES:
         spec, stacks, h = restart0(family, Q, m, X, y)
         name = f"{family} {Q}x{m}"
@@ -112,8 +113,9 @@ def main():
         evals[name] = {"D": spec.n_rows, "form": _form(spec.n_rows, ROWS), "ms": ms, **usage}
         spec_h, _ = ft.unpack_hyper(spec, h)
         features[name] = median_ms(lambda: ft.compute_features(spec_h, stacks, X), args.repeats)
-        diagonals = ft._group_diagonals(spec_h, stacks, 0)
-        operator[name] = median_ms(lambda: _block_matrix(stacks[0], *diagonals), args.repeats)
+        diagonals[name] = median_ms(lambda: ft._group_diagonals(spec_h, stacks, 0), args.repeats)
+        effective = ft._group_diagonals(spec_h, stacks, 0)
+        operator[name] = median_ms(lambda: _block_matrix(stacks[0], *effective), args.repeats)
         co[name] = co_matrix_ms(*weighted(spec, stacks, X, h), args.repeats)
 
     print(json.dumps({
@@ -124,6 +126,7 @@ def main():
         "scipy": scipy.__version__,
         "eval_ms": evals,
         "features_ms": features,
+        "diagonals_ms": diagonals,
         "operator_ms": operator,
         "co_matrix_ms": co,
     }))

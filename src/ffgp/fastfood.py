@@ -1,4 +1,4 @@
-"""Structured random projections: build and apply S H G Pi H B stacks.
+"""Structured random projections: draw and apply S H G Pi H B stacks.
 
 Each block expands a zero-padded input x in R^{d_pad} into d_pad projections
 
@@ -6,19 +6,20 @@ Each block expands a zero-padded input x in R^{d_pad} into d_pad projections
 
 where B is a random sign diagonal, H the unnormalized Walsh-Hadamard matrix,
 Pi a uniform random permutation, G a diagonal of standard normal draws and
-S a diagonal of sampled radii divided by ||G||_F.  Rows of H G Pi H B all have
+S a diagonal of radii divided by ||G||_F.  Rows of H G Pi H B all have
 norm sqrt(d_pad) * ||G||_F, so after the two rescalings the i-th projection
-direction has Euclidean norm equal to the i-th sampled radius: the stack
-realizes an isotropic spectral sample with exactly controlled row lengths.
-Fastfood is the parameterization (O(m) stored numbers, S/G/B learnable).  To
-execute a stack, the butterfly builds its dense (d_in, m) operator in
-O(d_in m log d_pad) and one matrix product applies it to n rows in O(n d_in m).
+direction has Euclidean norm equal to the i-th radius: the stack realizes a
+radial spectral sample with exactly controlled row lengths.  A stack holds
+only its draws; the radii come from its quantiles, and the caller passes S,
+G and B to every application.  Fastfood is the parameterization (O(m) stored
+numbers, S/G/B learnable).  To execute a stack, the butterfly builds its
+dense (d_in, m) operator in O(d_in m log d_pad) and one matrix product
+applies it to n rows in O(n d_in m).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.linalg.blas import dgemm
@@ -27,35 +28,23 @@ from scipy.special import gammaincinv
 from .errors import DimensionError, DomainError
 from .hadamard import PadGeometry, fwht_inplace
 
-RadialSampler = Callable[[np.ndarray], np.ndarray]
-
 
 @dataclass(frozen=True)
 class FastfoodStack:
     """Frozen draws for one feature group (all blocks concatenated).
 
-    b_diag, g_diag, s_radii are flat arrays of length geometry.m_total laid
-    out block by block; perms has one permutation row per block.  s_radii
-    holds the raw S diagonal (sampled radius / per-block ||G||_F), so the
-    effective frequency radius of row i is s_radii[i] * ||G_block||_F =
-    the sampled radius.  uniform_draws keeps the quantile inputs so radial
-    re-parameterizations can recompute radii without re-sampling.
+    b_diag, g_diag and uniform_draws are flat arrays of length
+    geometry.m_total laid out block by block; perms has one permutation row
+    and g_frob_norms one ||G||_F per block.  uniform_draws are the radial
+    quantiles: radius r_i at quantile u_i gives S_i = r_i / ||G_block||_F.
     """
 
     geometry: PadGeometry
-    seed: object
     b_diag: np.ndarray
     g_diag: np.ndarray
     perms: np.ndarray
-    s_radii: np.ndarray
     g_frob_norms: np.ndarray
     uniform_draws: np.ndarray
-
-    @property
-    def radii(self) -> np.ndarray:
-        """Sampled frequency radii per row (s_radii undone by ||G||_F)."""
-        d = self.geometry.d_pad
-        return self.s_radii * np.repeat(self.g_frob_norms, d)
 
 
 def sample_chi_radii(u: np.ndarray, d_pad: int) -> np.ndarray:
@@ -72,12 +61,7 @@ def sample_chi_radii(u: np.ndarray, d_pad: int) -> np.ndarray:
     return np.sqrt(2.0 * gammaincinv(d_pad / 2.0, u))
 
 
-def build_stack(
-    seed,
-    geometry: PadGeometry,
-    radial_sampler: RadialSampler,
-    systematic: bool = False,
-) -> FastfoodStack:
+def build_stack(seed, geometry: PadGeometry, systematic: bool = False) -> FastfoodStack:
     """Draw all per-block matrices for one group.
 
     seed may be an int or a tuple of ints (fed to numpy's SeedSequence), so a
@@ -101,27 +85,12 @@ def build_stack(
         u = rng.random(m)
         # rng.random can return exactly 0; nudge into the open interval
         u[u == 0.0] = np.finfo(float).tiny
-    radii = np.asarray(radial_sampler(u), dtype=float)
-    if radii.shape != (m,):
-        raise DimensionError(f"radial sampler returned shape {radii.shape}, want ({m},)")
 
-    g_blocks = g_diag.reshape(nb, d)
-    g_frob = np.sqrt(np.sum(g_blocks**2, axis=1))
+    g_frob = np.sqrt(np.sum(g_diag.reshape(nb, d) ** 2, axis=1))
     if np.any(g_frob == 0.0):
-        # probability zero, but s_radii would be undefined
+        # probability zero, but S = r / ||G||_F would be undefined
         raise DomainError("degenerate G block with zero Frobenius norm")
-    s_radii = radii / np.repeat(g_frob, d)
-
-    return FastfoodStack(
-        geometry=geometry,
-        seed=seed,
-        b_diag=b_diag,
-        g_diag=g_diag,
-        perms=perms,
-        s_radii=s_radii,
-        g_frob_norms=g_frob,
-        uniform_draws=u,
-    )
+    return FastfoodStack(geometry, b_diag, g_diag, perms, g_frob, u)
 
 
 def _block_matrix(stack: FastfoodStack, s_diag, g_diag, b_diag) -> np.ndarray:
@@ -130,31 +99,18 @@ def _block_matrix(stack: FastfoodStack, s_diag, g_diag, b_diag) -> np.ndarray:
     Every block goes through one pass over a (d_in, blocks, d_pad) array."""
     geo = stack.geometry
     shape = (geo.blocks, geo.d_pad)
-    s_all = stack.s_radii if s_diag is None else np.asarray(s_diag, dtype=float)
-    g_all = stack.g_diag if g_diag is None else np.asarray(g_diag, dtype=float)
-    b_all = stack.b_diag if b_diag is None else np.asarray(b_diag, dtype=float)
-
-    v = np.eye(geo.d_in, geo.d_pad)[:, None, :] * b_all.reshape(shape)
+    v = np.eye(geo.d_in, geo.d_pad)[:, None, :] * np.asarray(b_diag, dtype=float).reshape(shape)
     fwht_inplace(v)
     v = np.take_along_axis(v, stack.perms[None], axis=2)
-    v *= g_all.reshape(shape)
+    v *= np.asarray(g_diag, dtype=float).reshape(shape)
     fwht_inplace(v)
-    v *= (s_all * (1.0 / np.sqrt(geo.d_pad))).reshape(shape)
+    v *= (np.asarray(s_diag, dtype=float) * (1.0 / np.sqrt(geo.d_pad))).reshape(shape)
     return v.reshape(geo.d_in, geo.m_total)
 
 
-def project(
-    stack: FastfoodStack,
-    x: np.ndarray,
-    s_diag: np.ndarray | None = None,
-    g_diag: np.ndarray | None = None,
-    b_diag: np.ndarray | None = None,
-) -> np.ndarray:
-    """Apply the stack to rows of x: (n, d_in) -> (n, m_total).
-
-    s_diag / g_diag / b_diag override the stored diagonals (same flat layout),
-    which is how learned-scaling kernels re-use one frozen stack.
-    """
+def project(stack: FastfoodStack, x: np.ndarray, s_diag, g_diag, b_diag) -> np.ndarray:
+    """Apply the stack at diagonals s_diag / g_diag / b_diag (flat, laid out
+    as the stack's) to rows of x: (n, d_in) -> (n, m_total)."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise DimensionError(f"expected 2-d input, got shape {x.shape}")
@@ -165,17 +121,10 @@ def project(
     return dgemm(1.0, _block_matrix(stack, s_diag, g_diag, b_diag).T, x.T).T
 
 
-def project_transpose(
-    stack: FastfoodStack,
-    t: np.ndarray,
-    s_diag: np.ndarray | None = None,
-    g_diag: np.ndarray | None = None,
-    b_diag: np.ndarray | None = None,
-) -> np.ndarray:
+def project_transpose(stack: FastfoodStack, t: np.ndarray, s_diag, g_diag, b_diag) -> np.ndarray:
     """Adjoint of `project`: (n, m_total) -> (n, d_in).
 
-    <project(stack, x), t> == <x, project_transpose(stack, t)> for the same
-    diagonal overrides.
+    <project(stack, x, s, g, b), t> == <x, project_transpose(stack, t, s, g, b)>.
     """
     t = np.asarray(t, dtype=float)
     geo = stack.geometry

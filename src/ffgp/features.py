@@ -9,7 +9,7 @@ row holds, never on the family's name.
 Positive parameters live in log space.  The mu shifts and the g/b diagonals
 are raw (G and B are signed: G is a normal draw and B a relaxed sign, so log
 space cannot represent them).  The scaling diagonal S is packed as a log
-*multiplier* (s_mult) against the sampled stack radii with initial value 0:
+*multiplier* (s_mult) against the stack's chi radii with initial value 0:
 exp(0.0) == 1.0 exactly, so a freshly initialized s_mult leaves the stack's
 features bit for bit as they were, which a log of the raw radii could not
 guarantee (exp(log(s)) may differ from s in the last ulp).
@@ -21,6 +21,7 @@ Jacobian that the tests check it against lives in ffgp.oracle).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,6 +47,7 @@ _LAYOUTS = {
     "pwl": ((), (("log_v", None), ("log_ell", "d"), ("hat_mu", None), ("hat_sigma", None))),
 }
 FAMILIES = tuple(_LAYOUTS)
+_SHAPE_FIELDS = ("d_in", "Q", "m_per_group")
 # The kinds stored as logs of positive natural values
 _LOG_KINDS = frozenset({"log_a", "log_ell", "log_v", "log_sd", "hat_mu", "hat_sigma"})
 
@@ -87,6 +89,14 @@ def feature_rows(family: str, Q: int, m_realized: int) -> int:
     return Q * (4 if _has(family, "mu") else 2) * m_realized
 
 
+def _shape_ints(*shape) -> tuple:
+    """d_in, Q, m_per_group as Python ints >= 1 (bools refused), else DimensionError."""
+    for name, value in zip(_SHAPE_FIELDS, shape):
+        if isinstance(value, bool) or not hasattr(value, "__index__") or operator.index(value) < 1:
+            raise DimensionError(f"{name} must be an integer >= 1, got {value!r}")
+    return tuple(map(operator.index, shape))
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """One kernel family instance: structure plus packed feature parameters.
@@ -106,8 +116,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DomainError(f"unknown family {self.family!r}")
-        if self.d_in < 1 or self.Q < 1 or self.m_per_group < 1:
-            raise DimensionError("d_in, Q and m_per_group must all be >= 1")
+        for name, value in zip(_SHAPE_FIELDS, _shape_ints(self.d_in, self.Q, self.m_per_group)):
+            object.__setattr__(self, name, value)  # a Python int, which json writes
         params = np.asarray(self.params, dtype=float)
         object.__setattr__(self, "params", params)
         want = self.n_params
@@ -215,6 +225,7 @@ class KernelSpec:
     @classmethod
     def template(cls, family: str, d_in: int, Q: int, m_per_group: int) -> "KernelSpec":
         """Shape-valid spec with zero parameters (fill via init or unpack)."""
+        d_in, Q, m_per_group = _shape_ints(d_in, Q, m_per_group)
         m_real = pad_geometry(d_in, m_per_group).m_total
         n = hyper_count(family, d_in, Q, m_real) - 1
         return cls(family=family, d_in=d_in, Q=Q, m_per_group=m_per_group, params=np.zeros(n))
@@ -311,22 +322,13 @@ def unpack_hyper(spec: KernelSpec, hyper: np.ndarray):
 def build_stacks(spec: KernelSpec, seed: int) -> list:
     """One frozen stack per group, children of one master seed.
 
-    A family with hat kinds draws its radii at systematic (jittered-grid)
-    quantiles through the group's hat spectrum, by hat_radii as the features
-    use it; every other family draws chi(d_pad) radii at iid quantiles.  The
-    hat radii stored here are a snapshot; feature computation always
-    recomputes radii from uniform_draws and the current hat parameters.
+    A family with hat kinds draws systematic (jittered-grid) quantiles,
+    every other family iid ones; each feature build turns them into radii
+    (_group_diagonals), so a stack depends on the family's kinds, the shape
+    and the seed, never on the params.
     """
-    geo = spec.geometry
-    hat = _has(spec.family, "hat_mu")
-    stacks = []
-    for q in range(spec.Q):
-        if hat:
-            sampler = lambda u, _h=spec.hat(q): hat_radii(_h.mu, _h.sigma, u)
-        else:
-            sampler = lambda u, _d=geo.d_pad: sample_chi_radii(u, _d)
-        stacks.append(build_stack((seed, q), geo, sampler, systematic=hat))
-    return stacks
+    systematic = _has(spec.family, "hat_mu")
+    return [build_stack((seed, q), spec.geometry, systematic) for q in range(spec.Q)]
 
 
 @dataclass(frozen=True)
@@ -345,21 +347,23 @@ class DesignMatrix:
 
 
 def _group_diagonals(spec: KernelSpec, stacks, q: int):
-    """Effective (s, g, b) diagonals of group q: the stack's own, with each
-    one the family learns put in its place."""
+    """Effective (s, g, b) diagonals of group q, the one place S is formed:
+    S = r / ||G||_F with r the hat's radii (hat kinds) or chi(d_pad) radii
+    at the stack's quantiles, times exp(s_mult) where the family learns it.
+    G and B are the stack's own unless the family learns them."""
     stack: FastfoodStack = stacks[q]
     fam = spec.family
-    s, g, b = stack.s_radii, stack.g_diag, stack.b_diag
-    if _has(fam, "s_mult"):
-        s = s * np.exp(spec.field("s_mult", q))
+    d, u = stack.geometry.d_pad, stack.uniform_draws
     if _has(fam, "hat_mu"):
         hat = spec.hat(q)
-        radii = hat_radii(hat.mu, hat.sigma, stack.uniform_draws)
-        s = radii / np.repeat(stack.g_frob_norms, stack.geometry.d_pad)
-    if _has(fam, "g"):
-        g = spec.field("g", q)
-    if _has(fam, "b"):
-        b = spec.field("b", q)
+        radii = hat_radii(hat.mu, hat.sigma, u)
+    else:
+        radii = sample_chi_radii(u, d)
+    s = radii / np.repeat(stack.g_frob_norms, d)
+    if _has(fam, "s_mult"):
+        s = s * np.exp(spec.field("s_mult", q))
+    g = spec.field("g", q) if _has(fam, "g") else stack.g_diag
+    b = spec.field("b", q) if _has(fam, "b") else stack.b_diag
     return s, g, b
 
 
@@ -412,8 +416,7 @@ def compute_features(spec: KernelSpec, stacks, X: np.ndarray, *, out=None) -> De
     phase = _has(spec.family, "mu")
     operators = []
     for q in range(spec.Q):
-        s, g, b = _group_diagonals(spec, stacks, q)
-        operators.append(project(stacks[q], eye, s_diag=s, g_diag=g, b_diag=b))
+        operators.append(project(stacks[q], eye, *_group_diagonals(spec, stacks, q)))
         base = q * rpg
         blocks = [data[base + k * m : base + (k + 1) * m] for k in range(rpg // m)]
         if phase:  # sin+, cos+, sin-, cos-

@@ -218,8 +218,7 @@ def _pad_cols(X: np.ndarray, geo: PadGeometry) -> np.ndarray:
 
 
 def _group_xi(spec: KernelSpec, stacks, q: int, X: np.ndarray) -> np.ndarray:
-    s, g, b = _group_diagonals(spec, stacks, q)
-    return project(stacks[q], _scaled_inputs(spec, q, X), s_diag=s, g_diag=g, b_diag=b)
+    return project(stacks[q], _scaled_inputs(spec, q, X), *_group_diagonals(spec, stacks, q))
 
 
 def _dxi_for_param(spec, stacks, q, X, kind, j, xi):
@@ -238,7 +237,7 @@ def _dxi_for_param(spec, stacks, q, X, kind, j, xi):
         else:
             Z = np.zeros_like(xs)
             Z[:, j] = sign * xs[:, j]
-        return project(stack, Z, s_diag=s_eff, g_diag=g_eff, b_diag=b_eff)
+        return project(stack, Z, s_eff, g_eff, b_eff)
     if kind == "s_mult":
         dxi = np.zeros_like(xi)
         dxi[:, j] = xi[:, j]

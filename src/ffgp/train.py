@@ -15,6 +15,7 @@ its first features are FARD's.
 """
 
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -60,16 +61,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restart_count < 1:
-            raise DomainError("restart_count must be >= 1")
         # zero iteration budgets are legal: they return the best init as-is
-        if self.max_iters < 0 or self.restart_iters < 0:
-            raise DomainError("iteration budgets must be >= 0")
-        if self.gradient_tolerance <= 0:
-            raise DomainError("gradient_tolerance must be positive")
-        if isinstance(self.seed, bool) or not hasattr(self.seed, "__index__") or operator.index(self.seed) < 0:
-            raise DomainError("seed must be a non-negative integer")
-        object.__setattr__(self, "seed", operator.index(self.seed))  # a Python int, which json writes
+        for name, low in (("max_iters", 0), ("restart_count", 1), ("restart_iters", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(value, "__index__") or operator.index(value) < low:
+                raise DomainError(f"{name} must be an integer >= {low}")
+            object.__setattr__(self, name, operator.index(value))  # a Python int, which json writes
+        tol = self.gradient_tolerance
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not (math.isfinite(tol) and tol > 0):
+            raise DomainError("gradient_tolerance must be a finite positive number")
 
 
 # ---- initialization recipes -------------------------------------------------

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,11 +11,18 @@ from ffgp.hadamard import pad_geometry
 from ffgp.oracle import dense_hadamard_matrix
 
 
-def chi_sampler(d_pad):
-    return lambda u: sample_chi_radii(u, d_pad)
+def chi_radii(stack):
+    """The stack's chi(d_pad) radii at its quantiles."""
+    return sample_chi_radii(stack.uniform_draws, stack.geometry.d_pad)
 
 
-def dense_operator(stack):
+def chi_diagonals(stack):
+    """(s, g, b) of a stack whose S is its chi radii over ||G||_F per block."""
+    s = chi_radii(stack) / np.repeat(stack.g_frob_norms, stack.geometry.d_pad)
+    return s, stack.g_diag, stack.b_diag
+
+
+def dense_operator(stack, s_diag, g_diag, b_diag):
     """Assemble d_pad^{-1/2} S H G Pi H B block by block, the slow way."""
     geo = stack.geometry
     d = geo.d_pad
@@ -25,23 +30,23 @@ def dense_operator(stack):
     blocks = []
     for b in range(geo.blocks):
         sl = slice(b * d, (b + 1) * d)
-        B = np.diag(stack.b_diag[sl])
-        G = np.diag(stack.g_diag[sl])
+        B = np.diag(b_diag[sl])
+        G = np.diag(g_diag[sl])
         P = np.eye(d)[stack.perms[b]]  # row gather: (Pv)_i = v[perm[i]]
-        S = np.diag(stack.s_radii[sl])
+        S = np.diag(s_diag[sl])
         blocks.append(S @ H @ G @ P @ H @ B / np.sqrt(d))
     return np.vstack(blocks)
 
 
 def test_project_matches_dense_operator():
     geo = pad_geometry(5, 20)
-    stack = build_stack(11, geo, chi_sampler(geo.d_pad))
+    stack = build_stack(11, geo)
     rng = np.random.default_rng(0)
     X = rng.standard_normal((9, 5))
     Xp = np.zeros((9, geo.d_pad))
     Xp[:, :5] = X  # inputs are zero-padded into the Hadamard dimension
-    V = dense_operator(stack)
-    assert np.allclose(project(stack, X), Xp @ V.T, atol=1e-10)
+    diagonals = chi_diagonals(stack)
+    assert np.allclose(project(stack, X, *diagonals), Xp @ dense_operator(stack, *diagonals).T, atol=1e-10)
 
 
 def test_project_matches_dense_operator_at_large_d():
@@ -49,7 +54,9 @@ def test_project_matches_dense_operator_at_large_d():
     # from scipy's dense Hadamard matrix with its own permutation
     geo = pad_geometry(1000, 2048)
     assert (geo.d_pad, geo.blocks) == (1024, 2)
-    stack = build_stack(21, geo, chi_sampler(geo.d_pad))
+    stack = build_stack(21, geo)
+    diagonals = chi_diagonals(stack)
+    s = diagonals[0]
     X = np.random.default_rng(1).standard_normal((3, 1000))
     H = hadamard(1024, dtype=float)
     want = []
@@ -57,41 +64,37 @@ def test_project_matches_dense_operator_at_large_d():
         sl = slice(blk * 1024, (blk + 1) * 1024)
         # G Pi H B as a matrix: (Pi H)[i] = H[perm[i]]
         gph_b = stack.g_diag[sl, None] * H[perm] * stack.b_diag[sl]
-        V = (stack.s_radii[sl, None] / np.sqrt(1024)) * (H @ gph_b)
+        V = (s[sl, None] / np.sqrt(1024)) * (H @ gph_b)
         want.append(X @ V[:, :1000].T)  # padded input columns are zero
     want = np.hstack(want)
-    np.testing.assert_allclose(project(stack, X), want, rtol=0, atol=1e-10 * np.abs(want).max())
+    np.testing.assert_allclose(project(stack, X, *diagonals), want, rtol=0, atol=1e-10 * np.abs(want).max())
 
 
 def test_project_transpose_is_the_adjoint():
     geo = pad_geometry(5, 20)
-    stack = build_stack(3, geo, chi_sampler(geo.d_pad))
+    stack = build_stack(3, geo)
     rng = np.random.default_rng(2)
     X = rng.standard_normal((7, 5))
     T = rng.standard_normal((7, geo.m_total))
     m = geo.m_total
-    s = stack.s_radii * np.exp(0.3 * rng.standard_normal(m))
+    s = chi_diagonals(stack)[0] * np.exp(0.3 * rng.standard_normal(m))
     g = rng.standard_normal(m)
     b = rng.uniform(-1.5, 1.5, m)
-    cases = [
-        ({}, stack),
-        ({"s_diag": s, "g_diag": g, "b_diag": b}, replace(stack, s_radii=s, g_diag=g, b_diag=b)),
-    ]
-    for overrides, dense_stack in cases:
-        V = dense_operator(dense_stack)[:, :5]  # padded input columns are zero
-        R = project_transpose(stack, T, **overrides)
+    for diagonals in (chi_diagonals(stack), (s, g, b)):
+        V = dense_operator(stack, *diagonals)[:, :5]  # padded input columns are zero
+        R = project_transpose(stack, T, *diagonals)
         assert R.shape == (7, 5)
         assert np.allclose(R, T @ V, atol=1e-10)
-        lhs = np.sum(project(stack, X, **overrides) * T)
+        lhs = np.sum(project(stack, X, *diagonals) * T)
         assert np.isclose(lhs, np.sum(X * R), rtol=1e-12, atol=1e-10)
 
 
 def test_effective_row_radii_equal_sampled_radii():
     # each row of the dense operator has norm exactly its sampled radius
     geo = pad_geometry(3, 12)
-    stack = build_stack(5, geo, chi_sampler(geo.d_pad))
-    V = dense_operator(stack)
-    assert np.allclose(np.linalg.norm(V, axis=1), stack.radii, atol=1e-10)
+    stack = build_stack(5, geo)
+    V = dense_operator(stack, *chi_diagonals(stack))
+    assert np.allclose(np.linalg.norm(V, axis=1), chi_radii(stack), atol=1e-10)
 
 
 def test_chi_radii_match_scipy_ppf():
@@ -116,33 +119,35 @@ def test_chi_radii_domain():
 
 def test_build_stack_determinism_and_seed_separation():
     geo = pad_geometry(4, 8)
-    a = build_stack(7, geo, chi_sampler(4))
-    b = build_stack(7, geo, chi_sampler(4))
-    c = build_stack(8, geo, chi_sampler(4))
+    a = build_stack(7, geo)
+    b = build_stack(7, geo)
+    c = build_stack(8, geo)
     assert np.array_equal(a.b_diag, b.b_diag)
     assert np.array_equal(a.g_diag, b.g_diag)
-    assert np.array_equal(a.s_radii, b.s_radii)
+    assert np.array_equal(a.uniform_draws, b.uniform_draws)
+    assert np.array_equal(a.g_frob_norms, b.g_frob_norms)
     assert all(np.array_equal(p, q) for p, q in zip(a.perms, b.perms))
     assert not np.array_equal(a.g_diag, c.g_diag)
-    assert build_stack((7, 1), geo, chi_sampler(4)).g_diag is not None  # tuple seeds work
+    assert build_stack((7, 1), geo).g_diag is not None  # tuple seeds work
 
 
 def test_stack_fields_valid():
     geo = pad_geometry(6, 10)
-    st_ = build_stack(0, geo, chi_sampler(geo.d_pad))
+    st_ = build_stack(0, geo)
     assert set(np.unique(st_.b_diag)) == {-1.0, 1.0}
     for p in st_.perms:
         assert np.array_equal(np.sort(p), np.arange(geo.d_pad))
-    assert np.all(st_.s_radii > 0)
+    assert np.all(st_.g_frob_norms > 0) and st_.g_frob_norms.shape == (geo.blocks,)
     assert np.all((st_.uniform_draws > 0) & (st_.uniform_draws < 1))
-    assert st_.radii.shape == (geo.m_total,)
+    assert st_.uniform_draws.shape == (geo.m_total,)
+    assert np.all(chi_radii(st_) > 0)
 
 
 @settings(max_examples=25)
 @given(seed=st.integers(min_value=0, max_value=2**31), jitter=st.floats(0, 0.4))
 def test_systematic_draws_hit_each_stratum(seed, jitter):
     geo = pad_geometry(2, 8)
-    st_ = build_stack(seed, geo, chi_sampler(2), systematic=True)
+    st_ = build_stack(seed, geo, systematic=True)
     u = np.sort(st_.uniform_draws)
     m = geo.m_total
     strata = np.floor(u * m).astype(int)

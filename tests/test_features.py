@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import textwrap
 import tracemalloc
@@ -123,9 +124,23 @@ def test_pwl_stacks_accept_a_hat_too_narrow_for_pwl_knots():
     spec = ft.KernelSpec.pwl(2, 8, [(1.0, np.ones(2), hat)])
     stacks = ft.build_stacks(spec, 0)
     want = hat_radii(spec.hat(0).mu, spec.hat(0).sigma, stacks[0].uniform_draws)
-    np.testing.assert_allclose(stacks[0].radii, want, rtol=1e-14)
+    s = ft._group_diagonals(spec, stacks, 0)[0]
+    np.testing.assert_allclose(s * np.repeat(stacks[0].g_frob_norms, 2), want, rtol=1e-14)
     phi = ft.compute_features(spec, stacks, np.random.default_rng(2).standard_normal((5, 2)))
     assert np.all(np.isfinite(phi.data))
+
+
+@pytest.mark.parametrize("family", ft.FAMILIES)
+def test_stacks_depend_on_the_shape_and_seed_not_the_params(family):
+    # a stack is its draws: the template and a spec of the same shape with
+    # other params build the same stacks, field by field
+    Q = 1 if family in ("frbf", "fard") else 2
+    template = ft.KernelSpec.template(family, 3, Q, 8)
+    spec = template.with_params(np.random.default_rng(4).uniform(-1, 1, template.n_params))
+    for ours, theirs in zip(ft.build_stacks(template, 6), ft.build_stacks(spec, 6), strict=True):
+        for field in dataclasses.fields(ours):
+            a, b = getattr(ours, field.name), getattr(theirs, field.name)
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, field.name
 
 
 def test_gm_gram_converges_to_closed_form():

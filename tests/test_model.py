@@ -209,3 +209,22 @@ def test_header_is_two_ascii_lines(tmp_path):
     meta = json.loads(line2)
     assert meta["family"] == "frbf" and meta["d_in"] == 1
     assert meta["n_train"] == "%012d" % model.n_train
+
+
+def test_spec_shape_fields_must_be_integers(tmp_path):
+    # a bool or fractional shape used to train and then save a header that
+    # load_model refused; floats died inside numpy
+    for shape in ((5, True, 8), (5, 1, 8.5), (5, 2.0, 8), (5.0, 1, 8), (5, 1, np.float64(8)), ("5", 1, 8)):
+        with pytest.raises(DimensionError, match="must be an integer >= 1"):
+            ft.KernelSpec.template("gm", *shape)
+        with pytest.raises(DimensionError, match="must be an integer >= 1"):
+            ft.KernelSpec("gm", *shape, params=np.zeros(11))
+    spec = ft.KernelSpec.template("gm", np.int64(5), np.int64(1), np.int64(8))
+    assert all(type(v) is int for v in (spec.d_in, spec.Q, spec.m_per_group))
+    # an int-shaped spec saves the header bytes it always has
+    model, _, _ = small_model(family="gm")
+    save_model(model, tmp_path / "m.bin")
+    assert (tmp_path / "m.bin").read_bytes().split(b"\n")[:2] == [
+        b"ffgp-model 1",
+        b'{"Q":1,"d_in":1,"family":"gm","m_per_group":8,"n_train":"000000000030","seed":0}',
+    ]

@@ -90,7 +90,7 @@ def test_eval_timing_prints_an_evaluation_and_a_co_matrix_time_per_shape(capsys,
     timing.main()
     report = json.loads(capsys.readouterr().out)
     names = ["frbf 1x8", "frbf 1x1280"]
-    layers = ("features_ms", "operator_ms", "co_matrix_ms")
+    layers = ("features_ms", "diagonals_ms", "operator_ms", "co_matrix_ms")
     assert list(report["eval_ms"]) == names and all(list(report[layer]) == names for layer in layers)
     assert [report["eval_ms"][name]["form"] for name in names] == ["feature", "data"]
     for name in names:
@@ -103,3 +103,16 @@ def test_eval_timing_prints_an_evaluation_and_a_co_matrix_time_per_shape(capsys,
         for layer in layers:
             ms = report[layer][name]
             assert isinstance(ms, float) and ms > 0
+
+
+def test_recover_spectrum_prints_its_eight_labelled_lines(capsys, monkeypatch):
+    recover = _load("recover_spectrum")
+    monkeypatch.setattr(sys, "argv", ["recover_spectrum.py", "--m", "4"])
+    recover.main()
+    lines = capsys.readouterr().out.splitlines()
+    labels = ["target frequency", "learned |mu_1|", "learned sigma_1", "learned weight",
+              "noise std", "test rmse", "nlml", "seconds"]
+    assert [ln.split(":")[0].rstrip() for ln in lines] == labels
+    assert lines[0] == "target frequency : 6.0"
+    for line in lines[1:]:
+        assert re.fullmatch(r"-?\d+\.\d+", line.split(": ", 1)[1])

@@ -43,6 +43,14 @@ def test_config_validation():
         TrainConfig(gradient_tolerance=0.0)
     with pytest.raises(DomainError):
         TrainConfig(seed=-1)
+    # budgets are integers (bools refused) and the tolerance finite
+    for bad in ({"restart_count": 2.5}, {"max_iters": 1.5}, {"restart_iters": True},
+                {"gradient_tolerance": float("nan")}, {"gradient_tolerance": float("inf")},
+                {"gradient_tolerance": True}, {"gradient_tolerance": "1e-6"}):
+        with pytest.raises(DomainError):
+            TrainConfig(**bad)
+    config = TrainConfig(max_iters=np.int64(4), restart_count=np.int64(2), restart_iters=np.int64(1))
+    assert all(type(v) is int for v in (config.max_iters, config.restart_count, config.restart_iters))
 
 
 def test_seed_is_stored_as_a_python_int(tmp_path):
