@@ -114,7 +114,7 @@ def main():
         spec_h, _ = ft.unpack_hyper(spec, h)
         features[name] = median_ms(lambda: ft.compute_features(spec_h, stacks, X), args.repeats)
         diagonals[name] = median_ms(lambda: ft._group_diagonals(spec_h, stacks, 0), args.repeats)
-        effective = ft._group_diagonals(spec_h, stacks, 0)
+        effective = ft._group_diagonals(spec_h, stacks, 0)[1:]
         operator[name] = median_ms(lambda: _block_matrix(stacks[0], *effective), args.repeats)
         co[name] = co_matrix_ms(*weighted(spec, stacks, X, h), args.repeats)
 

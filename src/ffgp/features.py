@@ -48,6 +48,7 @@ _LAYOUTS = {
 }
 FAMILIES = tuple(_LAYOUTS)
 _SHAPE_FIELDS = ("d_in", "Q", "m_per_group")
+_MAX_FLOATS = np.iinfo(np.intp).max // 8  # the most float64 entries numpy can size
 # The kinds stored as logs of positive natural values
 _LOG_KINDS = frozenset({"log_a", "log_ell", "log_v", "log_sd", "hat_mu", "hat_sigma"})
 
@@ -89,12 +90,17 @@ def feature_rows(family: str, Q: int, m_realized: int) -> int:
     return Q * (4 if _has(family, "mu") else 2) * m_realized
 
 
-def _shape_ints(*shape) -> tuple:
-    """d_in, Q, m_per_group as Python ints >= 1 (bools refused), else DimensionError."""
+def _shape_ints(family: str, *shape) -> tuple:
+    """d_in, Q, m_per_group as Python ints >= 1 (bools refused) whose feature
+    rows and parameter count each fit one float64 array, else DimensionError."""
     for name, value in zip(_SHAPE_FIELDS, shape):
         if isinstance(value, bool) or not hasattr(value, "__index__") or operator.index(value) < 1:
             raise DimensionError(f"{name} must be an integer >= 1, got {value!r}")
-    return tuple(map(operator.index, shape))
+    d_in, Q, m_per_group = map(operator.index, shape)
+    m_real = pad_geometry(d_in, m_per_group).m_total
+    if max(feature_rows(family, Q, m_real), hyper_count(family, d_in, Q, m_real)) > _MAX_FLOATS:
+        raise DimensionError(f"{family} with d={d_in}, Q={Q}, m={m_per_group} is too large for one array")
+    return d_in, Q, m_per_group
 
 
 @dataclass(frozen=True)
@@ -116,7 +122,7 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DomainError(f"unknown family {self.family!r}")
-        for name, value in zip(_SHAPE_FIELDS, _shape_ints(self.d_in, self.Q, self.m_per_group)):
+        for name, value in zip(_SHAPE_FIELDS, _shape_ints(self.family, self.d_in, self.Q, self.m_per_group)):
             object.__setattr__(self, name, value)  # a Python int, which json writes
         params = np.asarray(self.params, dtype=float)
         object.__setattr__(self, "params", params)
@@ -225,7 +231,7 @@ class KernelSpec:
     @classmethod
     def template(cls, family: str, d_in: int, Q: int, m_per_group: int) -> "KernelSpec":
         """Shape-valid spec with zero parameters (fill via init or unpack)."""
-        d_in, Q, m_per_group = _shape_ints(d_in, Q, m_per_group)
+        d_in, Q, m_per_group = _shape_ints(family, d_in, Q, m_per_group)
         m_real = pad_geometry(d_in, m_per_group).m_total
         n = hyper_count(family, d_in, Q, m_real) - 1
         return cls(family=family, d_in=d_in, Q=Q, m_per_group=m_per_group, params=np.zeros(n))
@@ -333,8 +339,10 @@ def build_stacks(spec: KernelSpec, seed: int) -> list:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Feature rows by data columns, group row boundaries, and each group's
-    dense (d_in, m') Fastfood operator: xi_q = operators[q]^T xs_q^T.
+    """Feature rows by data columns, and per group the dense (d_in, m')
+    Fastfood operator (xi_q = operators[q]^T xs_q^T) with the radii and
+    (s, g, b) diagonals it was built from (_group_diagonals), which the
+    gradient reads.
 
     data is point-major (Fortran order): the D features of one point are
     contiguous, so a group's (m', n) trig blocks are Fortran-order slices
@@ -344,13 +352,15 @@ class DesignMatrix:
 
     data: np.ndarray
     operators: tuple = ()
+    diagonals: tuple = ()
 
 
 def _group_diagonals(spec: KernelSpec, stacks, q: int):
-    """Effective (s, g, b) diagonals of group q, the one place S is formed:
-    S = r / ||G||_F with r the hat's radii (hat kinds) or chi(d_pad) radii
-    at the stack's quantiles, times exp(s_mult) where the family learns it.
-    G and B are the stack's own unless the family learns them."""
+    """Radii r and effective (s, g, b) diagonals of group q, the one place
+    S is formed: S = r / ||G||_F with r the hat's radii (hat kinds) or
+    chi(d_pad) radii at the stack's quantiles, times exp(s_mult) where the
+    family learns it.  G and B are the stack's own unless the family
+    learns them."""
     stack: FastfoodStack = stacks[q]
     fam = spec.family
     d, u = stack.geometry.d_pad, stack.uniform_draws
@@ -364,7 +374,7 @@ def _group_diagonals(spec: KernelSpec, stacks, q: int):
         s = s * np.exp(spec.field("s_mult", q))
     g = spec.field("g", q) if _has(fam, "g") else stack.g_diag
     b = spec.field("b", q) if _has(fam, "b") else stack.b_diag
-    return s, g, b
+    return radii, s, g, b
 
 
 def _scaled_inputs(spec: KernelSpec, q: int, X: np.ndarray) -> np.ndarray:
@@ -414,9 +424,10 @@ def compute_features(spec: KernelSpec, stacks, X: np.ndarray, *, out=None) -> De
         raise DimensionError(f"out must be a Fortran-order float64 ({spec.n_rows}, {n}) array")
     eye = np.eye(spec.d_in)
     phase = _has(spec.family, "mu")
-    operators = []
+    operators, diagonals = [], []
     for q in range(spec.Q):
-        operators.append(project(stacks[q], eye, *_group_diagonals(spec, stacks, q)))
+        diagonals.append(_group_diagonals(spec, stacks, q))
+        operators.append(project(stacks[q], eye, *diagonals[q][1:]))
         base = q * rpg
         blocks = [data[base + k * m : base + (k + 1) * m] for k in range(rpg // m)]
         if phase:  # sin+, cos+, sin-, cos-
@@ -425,7 +436,7 @@ def compute_features(spec: KernelSpec, stacks, X: np.ndarray, *, out=None) -> De
         else:  # cos, sin
             trig = [(blocks[1], blocks[0], None)]
         _project_sincos(operators[q], _scaled_inputs(spec, q, X), trig)
-    return DesignMatrix(data=data, operators=tuple(operators))
+    return DesignMatrix(data=data, operators=tuple(operators), diagonals=tuple(diagonals))
 
 
 # elements per column chunk of the frequencies xi: the chunk and _sincos's
@@ -529,7 +540,9 @@ def feature_param_gradients(
     input column j (log_ell, log_sd) gives row sum j of C * op, a scale on
     frequency k (s_mult, the hat kinds) its column sum k, which equals
     sum_n T * xi.  The G and B transforms run on C as well, so no stack is
-    applied to the n data rows here.  The products run in scipy's BLAS, as
+    applied to the n data rows here.  They read the (s, g, b) diagonals phi
+    was built from, and the hat kinds its radii, so no radii are formed
+    again.  The products run in scipy's BLAS, as
     every product of an evaluation does (see ffgp.gp).  The chain rule runs
     in place: it overwrites M (a float64 array) and scratch, a Fortran-order
     (m', n) float64 array that holds each group's T in turn, so a call
@@ -577,16 +590,14 @@ def feature_param_gradients(
             slot("s_mult", q)[:] = Cop.sum(axis=0)
         if _has(fam, "hat_mu"):  # S_k = r_k / ||G||_F, so dS_k / S_k = dr_k / r_k
             txi = Cop.sum(axis=0)  # sum_n T * xi
-            u = stacks[q].uniform_draws
-            hat = spec.hat(q)
-            r = hat_radii(hat.mu, hat.sigma, u)
+            hat, r, u = spec.hat(q), phi.diagonals[q][0], stacks[q].uniform_draws
             slot("hat_mu", q)[:] = float(np.sum(txi * (hat.mu / r)))
             slot("hat_sigma", q)[:] = float(np.sum(txi * (hat.sigma * hat_unit_quantile(u) / r)))
         if _has(fam, "g"):  # G and B (a layout with g has b): the butterfly's adjoint
             stack = stacks[q]
             shape = (stack.geometry.blocks, stack.geometry.d_pad)
             perms = stack.perms[None]
-            s_eff, g_eff, b_eff = _group_diagonals(spec, stacks, q)
+            _, s_eff, g_eff, b_eff = phi.diagonals[q]
             # C and the intermediates as (d_in, blocks, d_pad): every block at once
             ct = (C * (s_eff * (1.0 / np.sqrt(shape[1])))).reshape(d_in, *shape)
             fwht_inplace(ct)  # ct = H (s*C) / sqrt(d)

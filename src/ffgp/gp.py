@@ -50,11 +50,19 @@ weighted_features and the default fit_posterior leave Phi as it is.  An
 evaluation given a workspace (nlml_value_and_grad's work, one per fit)
 writes Phi, the Gram (factored in place by chol_with_jitter's overwrite_a),
 C and the chain rule's (m', n) array into the same four arrays every time,
-so it allocates only small vectors.
+so it allocates only small vectors.  Those four arrays are private
+anonymous memory mappings (_buffer), not malloc blocks, so a fit returns
+their pages to the OS when it drops the workspace, and its peak RSS does
+not depend on how earlier allocations left glibc's heap.  Everything else
+(an evaluation without a workspace, the posterior's Gram and factor,
+prediction blocks) comes from numpy's allocator.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
+import mmap
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -82,11 +90,30 @@ def _as_data(phi) -> np.ndarray:
 
 def _buffer(work, name: str, shape) -> np.ndarray:
     """work[name]: a Fortran-order float64 array of shape, stale contents,
-    allocated again only when the shape changes (a new one if work is None)."""
+    allocated again only when the shape changes (np.empty if work is None).
+
+    A workspace array lives in its own private anonymous mapping, which
+    goes back to the OS when the array is dropped.  From malloc, glibc's
+    dynamic mmap threshold puts D x n arrays of up to 32 MB on the heap
+    once the first one is freed, and a fit's peak RSS then moves with
+    whatever else the process allocated first.  Every fit faults its new
+    workspace in, so the mapping asks for transparent huge pages, as numpy
+    does for its own large arrays: one pwl 5x256 fit on 1,352 rows took
+    about 18,400 minor faults on 4 KB pages and 1,500-2,000 with them.
+    Where the platform has no anonymous mappings, the workspace comes from
+    np.empty as well.
+    """
     if work is None:
         return np.empty(shape, order="F")
     if name not in work or work[name].shape != shape:
-        work[name] = np.empty(shape, order="F")
+        try:
+            pages = mmap.mmap(-1, max(8 * math.prod(shape), 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        except AttributeError:  # no anonymous mappings on this platform (Windows)
+            work[name] = np.empty(shape, order="F")
+        else:
+            with contextlib.suppress(AttributeError, OSError):  # no MADV_HUGEPAGE on this platform or kernel
+                pages.madvise(mmap.MADV_HUGEPAGE)
+            work[name] = np.ndarray(shape, np.float64, buffer=pages, order="F")
     return work[name]
 
 
@@ -216,8 +243,9 @@ def _form(D: int, n: int) -> str:
     return "feature" if D < n else "data"
 
 
-def _core(W: np.ndarray, y: np.ndarray, noise_var: float, mode: str, work=None):
-    """NLML and its gradient ingredients in the chosen form.
+def _core(W: np.ndarray, y: np.ndarray, noise_var: float, mode: str, work=None, grad: bool = True):
+    """NLML and its gradient ingredients in the chosen form (f alone
+    without grad).
 
     Returns a dict with f, the co-matrix C = A^{-1} W = W K^{-1} (D x n),
     alpha = K^{-1} y, u = W alpha, r (per-feature-row diagonal of
@@ -246,10 +274,12 @@ def _core(W: np.ndarray, y: np.ndarray, noise_var: float, mode: str, work=None):
         alpha = solved
         u = matvec(W, alpha)
         quad = ddot(y, alpha)
+    f = 0.5 * (n * np.log(2.0 * np.pi) + logdet + quad)
+    if not grad:
+        return {"f": f}
     C = _co_matrix(L, W, side, work)
     q = np.einsum("in,in->i", C, W)
-    return {"f": 0.5 * (n * np.log(2.0 * np.pi) + logdet + quad), "C": C, "alpha": alpha, "u": u,
-            "r": q - u**2, "tr_Kinv": (n - float(np.sum(q))) / noise_var}
+    return {"f": f, "C": C, "alpha": alpha, "u": u, "r": q - u**2, "tr_Kinv": (n - float(np.sum(q))) / noise_var}
 
 
 @dataclass(frozen=True)
@@ -316,8 +346,10 @@ def predict(state: PosteriorState, phi_star, *, overwrite_phi: bool = False):
 # ---- training objective ---------------------------------------------------
 
 
-def nlml_value_and_grad(spec: KernelSpec, stacks, X, y, hyper, mode: str = "auto", *, work=None):
-    """NLML and its exact gradient with respect to the packed hyper vector.
+def nlml_value_and_grad(spec: KernelSpec, stacks, X, y, hyper, mode: str = "auto", *, work=None, grad: bool = True):
+    """NLML and its exact gradient with respect to the packed hyper vector;
+    (NLML, None) without grad, the same value bit for bit, for callers that
+    never read the gradient (a fit with a zero iteration budget).
 
     hyper = [log noise-std, spec params...].  Gradient terms: the log
     noise-std coordinate via sigma^2 (tr K^{-1} - |alpha|^2); weight
@@ -329,28 +361,31 @@ def nlml_value_and_grad(spec: KernelSpec, stacks, X, y, hyper, mode: str = "auto
     Gram, which is factored in place, and the chain rule's (m', n) array.
     work is a dict that keeps these four buffers ("design", "co", "gram",
     "chain") from one call to the next, as train.fit's objective does; None
-    gives each call new ones.
+    gives each call new ones.  Without grad, C, M and the chain rule are
+    skipped, and so are the "co" and "chain" buffers.
     """
     spec_h, log_noise = unpack_hyper(spec, hyper)
     noise_var = np.exp(2.0 * log_noise)
     design = _buffer(work, "design", (spec.n_rows, np.shape(X)[0] if np.ndim(X) == 2 else 0))
     phi = compute_features(spec_h, stacks, X, out=design)  # phi.data becomes W below
     W, y = _checked(phi, feature_weight_matrix(spec_h), y, noise_var, min_points=1, overwrite=True)
-    core = _core(W, y, noise_var, mode, work)
+    core = _core(W, y, noise_var, mode, work, grad)
+    if not grad:
+        return float(core["f"]), None
 
-    grad = np.zeros(spec.n_hypers)
-    grad[0] = noise_var * (core["tr_Kinv"] - ddot(core["alpha"], core["alpha"]))
+    g = np.zeros(spec.n_hypers)
+    g[0] = noise_var * (core["tr_Kinv"] - ddot(core["alpha"], core["alpha"]))
 
     # M = C - u alpha^T, built in place in C's point-major layout, which
     # feature_param_gradients reads alongside W; the rank-one update is
     # `dger`, with no D x n temporary
     M = dger(-1.0, core["u"], core["alpha"], a=core["C"], overwrite_a=1)
     chain = _buffer(work, "chain", (spec.m_realized, W.shape[1]))
-    grad[1:] = feature_param_gradients(spec_h, stacks, X, M, phi, scratch=chain)
+    g[1:] = feature_param_gradients(spec_h, stacks, X, M, phi, scratch=chain)
 
     rpg = spec_h.rows_per_group
     for idx, group in spec_h.weight_param_info():
         rows = slice(None) if group is None else slice(group * rpg, (group + 1) * rpg)
-        grad[1 + idx] += float(np.sum(core["r"][rows]))
-    return float(core["f"]), grad
+        g[1 + idx] += float(np.sum(core["r"][rows]))
+    return float(core["f"]), g
 

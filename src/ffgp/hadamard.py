@@ -8,7 +8,6 @@ squared norms by d.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +49,7 @@ def pad_geometry(d_in: int, m_per_group: int) -> PadGeometry:
     if m_per_group < 1:
         raise DimensionError(f"need m_per_group >= 1, got {m_per_group}")
     d_pad = next_pow2(d_in)
-    blocks = math.ceil(m_per_group / d_pad)
+    blocks = -(-m_per_group // d_pad)  # integer ceiling: exact for any int
     return PadGeometry(d_in=d_in, d_pad=d_pad, blocks=blocks)
 
 

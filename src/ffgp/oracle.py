@@ -9,8 +9,8 @@ a time, independently of the (C, op) contraction the training gradient uses.
 Guards keep instances small; oracles exist to verify, not to run.
 
 The one exception is neg_log_marginal_likelihood: it is the fast core's
-own value (gp._core), which no library code needs alone, kept here so that
-the tests can cross-check the core's feature and data forms.
+own value (gp._core) on a given Phi, kept here so that the tests can
+cross-check the core's feature and data forms.
 """
 
 from __future__ import annotations
@@ -208,7 +208,7 @@ def neg_log_marginal_likelihood(phi, weight_diag, y, noise_var, mode: str = "aut
     form; both available explicitly for cross-checking.
     """
     W, y = _checked(phi, weight_diag, y, noise_var, min_points=1)
-    return float(_core(W, y, noise_var, mode)["f"])
+    return float(_core(W, y, noise_var, mode, grad=False)["f"])
 
 
 def _pad_cols(X: np.ndarray, geo: PadGeometry) -> np.ndarray:
@@ -218,7 +218,7 @@ def _pad_cols(X: np.ndarray, geo: PadGeometry) -> np.ndarray:
 
 
 def _group_xi(spec: KernelSpec, stacks, q: int, X: np.ndarray) -> np.ndarray:
-    return project(stacks[q], _scaled_inputs(spec, q, X), *_group_diagonals(spec, stacks, q))
+    return project(stacks[q], _scaled_inputs(spec, q, X), *_group_diagonals(spec, stacks, q)[1:])
 
 
 def _dxi_for_param(spec, stacks, q, X, kind, j, xi):
@@ -226,7 +226,7 @@ def _dxi_for_param(spec, stacks, q, X, kind, j, xi):
     stack = stacks[q]
     geo = stack.geometry
     d = geo.d_pad
-    s_eff, g_eff, b_eff = _group_diagonals(spec, stacks, q)
+    _, s_eff, g_eff, b_eff = _group_diagonals(spec, stacks, q)
     xs = _scaled_inputs(spec, q, X)
 
     if kind in ("log_ell", "log_sd"):

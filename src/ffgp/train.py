@@ -8,6 +8,9 @@ geometric ladder (see init_family) so that peaked spectra far from the
 origin are still reachable.  Selection by best NLML makes the widened
 draws harmless on easy landscapes.
 
+scipy.optimize loads on a fit's first L-BFGS call (the minimize shim
+below), so importing ffgp, or predicting from a saved model, never loads it.
+
 restart_starts is the one owner of a fit's starting point: the Fastfood
 stacks drawn from the seed and each restart's initial hyper vector.  The
 relaxed family (fsgbard) starts from the stacks' own G and B diagonals, so
@@ -20,7 +23,6 @@ import operator
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.optimize import minimize
 
 from .data import Standardization
 from .errors import (
@@ -220,28 +222,41 @@ def init_family(spec, stacks, X, y, rng, explore: float = 0.0, restart: int = 0)
 
 
 def _make_objective(spec, stacks, X, y, work):
-    """(f, g), or (inf, zeros) where an evaluation fails; every evaluation
-    reuses the buffers of one workspace, work (see nlml_value_and_grad)."""
+    """(f, g), or (inf, zeros) where an evaluation fails; with grad=False,
+    (f, None) and no gradient formed.  Every evaluation reuses the buffers
+    of one workspace, work (see nlml_value_and_grad)."""
     n_hyper = spec.n_hypers
 
-    def objective(h):
+    def objective(h, grad=True):
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                f, g = nlml_value_and_grad(spec, stacks, X, y, h, work=work)
+                f, g = nlml_value_and_grad(spec, stacks, X, y, h, work=work, grad=grad)
         except (IllConditionedError, DomainError, FloatingPointError, np.linalg.LinAlgError):
             # DomainError: non-finite features, or a spectrum parameter out
             # of its domain (a hat width that underflowed to 0)
             return np.inf, np.zeros(n_hyper)
-        if not (np.isfinite(f) and np.all(np.isfinite(g))):
+        if not (np.isfinite(f) and (g is None or np.all(np.isfinite(g)))):
             return np.inf, np.zeros(n_hyper)
         return f, g
 
     return objective
 
 
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first call.
+
+    scipy.optimize is about a quarter of `import ffgp.cli`, and `ffgp
+    predict` never optimizes, so only a fit pays for it.  The module-level
+    name stays so that benchmark tracers can wrap train.minimize.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
 def _lbfgs(objective, h0, iters, config):
-    if iters == 0:  # a zero budget keeps the start as it is
-        return float(objective(h0)[0]), h0
+    if iters == 0:  # a zero budget keeps the start as it is and reads no gradient
+        return float(objective(h0, grad=False)[0]), h0
     options = {"maxiter": iters, "maxcor": LBFGS_MEMORY, "gtol": config.gradient_tolerance}
     res = minimize(objective, h0, jac=True, method="L-BFGS-B", options=options)
     if np.isfinite(res.fun) and np.all(np.isfinite(res.x)):

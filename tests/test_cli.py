@@ -3,16 +3,21 @@
 import contextlib
 import io
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ffgp
 import ffgp.cli as cli
 from ffgp.cli import main
 from ffgp.data import load_csv, make_cosine, save_csv
@@ -421,6 +426,53 @@ def test_unknown_kernel_and_missing_flags(capsys, cosine_csv, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--kernel", "frbf", "--out", str(tmp_path / "x.bin")])
     assert exc.value.code == 2
+
+
+def test_only_a_fit_imports_the_optimizer(tmp_path, capsys, cosine_csv, feature_csv):
+    # `import ffgp.cli` and `ffgp predict` leave scipy.optimize unloaded;
+    # train loads it at its first fit.  A fresh interpreter, since this one
+    # has long loaded it.
+    model = tmp_path / "m.bin"
+    assert run(capsys, ["train", "--data", str(cosine_csv), "--kernel", "frbf", "--m", "8",
+                        "--out", str(model)] + FAST)[0] == 0
+    script = f"""
+import sys
+import ffgp.cli
+assert "scipy.optimize" not in sys.modules, "import"
+assert ffgp.cli.main(["predict", "--model", {str(model)!r}, "--data", {str(feature_csv)!r},
+                      "--out", {str(tmp_path / "p.csv")!r}]) == 0
+assert "scipy.optimize" not in sys.modules, "predict"
+assert ffgp.cli.main(["train", "--data", {str(cosine_csv)!r}, "--kernel", "frbf", "--m", "8",
+                      "--out", {str(tmp_path / "m2.bin")!r}] + {FAST!r}) == 0
+assert "scipy.optimize" in sys.modules, "train"
+"""
+    src = str(Path(ffgp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--kernel", "frbf", "--m", "4611686018427387904"],
+    ["train", "--kernel", "frbf", "--m", "99999999999999999999999"],
+    ["train", "--kernel", "frbf", "--m", "1" + "0" * 400],
+    ["train", "--kernel", "gm", "--Q", "4611686018427387904"],
+    ["bench", "--combo", "gm:1:9223372036854775807"],
+    ["train", "--kernel", "frbf", "--m", "1125899906842624"],
+], ids=["frbf-m2^62", "frbf-m1e23", "frbf-m1e400", "gm-Q2^62", "bench-m2^63", "frbf-m2^50"])
+def test_oversized_shape_is_one_error_line(capsys, tmp_path, cosine_csv, argv):
+    # shapes numpy cannot size fail in KernelSpec; 2^50 frequencies can be
+    # sized, and fail at the allocation (MemoryError)
+    out = ["--out", str(tmp_path / "x.bin")] if argv[0] == "train" else ["--folds", "2"]
+    try:
+        code = main(argv + out + ["--data", str(cosine_csv)] + FAST)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code in (1, 2)
+    assert len([ln for ln in captured.err.splitlines() if "error:" in ln]) == 1
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "x.bin").exists()
 
 
 def test_missing_file_is_runtime_error(capsys, tmp_path):

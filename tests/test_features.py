@@ -124,7 +124,7 @@ def test_pwl_stacks_accept_a_hat_too_narrow_for_pwl_knots():
     spec = ft.KernelSpec.pwl(2, 8, [(1.0, np.ones(2), hat)])
     stacks = ft.build_stacks(spec, 0)
     want = hat_radii(spec.hat(0).mu, spec.hat(0).sigma, stacks[0].uniform_draws)
-    s = ft._group_diagonals(spec, stacks, 0)[0]
+    s = ft._group_diagonals(spec, stacks, 0)[1]
     np.testing.assert_allclose(s * np.repeat(stacks[0].g_frob_norms, 2), want, rtol=1e-14)
     phi = ft.compute_features(spec, stacks, np.random.default_rng(2).standard_normal((5, 2)))
     assert np.all(np.isfinite(phi.data))

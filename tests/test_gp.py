@@ -4,6 +4,7 @@ prediction, and the packed-gradient path against finite differences."""
 import ast
 import inspect
 import math
+import mmap
 import textwrap
 import tracemalloc
 import zlib
@@ -440,6 +441,7 @@ def test_warm_workspace_evaluation_allocates_under_half_a_design_array(family, Q
     h = ft.pack_hyper(spec, math.log(0.3))
     work = {}
     nlml_value_and_grad(spec, stacks, X, y, h, work=work)  # warm-up: fills the workspace
+    warm = {name: id(buffer) for name, buffer in work.items()}
     tracemalloc.start()
     try:
         nlml_value_and_grad(spec, stacks, X, y, h, work=work)
@@ -447,6 +449,9 @@ def test_warm_workspace_evaluation_allocates_under_half_a_design_array(family, Q
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * 8 * spec.n_rows * n
+    # the workspace arrays are mappings, which tracemalloc does not see, so
+    # reuse is checked directly: the traced call wrote into the same arrays
+    assert {name: id(buffer) for name, buffer in work.items()} == warm
 
 
 def fd_gradient(f, h, step=1e-5):
@@ -534,6 +539,74 @@ def test_one_operator_build_per_group_per_evaluation(family, monkeypatch):
     nlml_value_and_grad(spec, stacks, X, y, ft.pack_hyper(spec, math.log(0.3)))
     assert len(built) == spec.Q
     assert all(b is s for b, s in zip(built, stacks))
+
+
+@pytest.mark.parametrize("family", ft.FAMILIES)
+def test_one_radii_draw_per_group_per_evaluation(family, monkeypatch):
+    # the gradient reads the radii and (s, g, b) the features were built from
+    rng = np.random.default_rng(8)
+    Q = 1 if family in ("frbf", "fard") else 2
+    spec = ft.KernelSpec.template(family, 3, Q, 4)
+    spec = spec.with_params(spec.params + 0.1 * rng.standard_normal(spec.n_params))
+    stacks = ft.build_stacks(spec, seed=5)
+    X = rng.standard_normal((20, 3))
+    y = rng.standard_normal(20)
+    drawn = []
+    for name in ("sample_chi_radii", "hat_radii"):
+        def counted(*args, radii=getattr(ft, name)):
+            drawn.append(args)
+            return radii(*args)
+
+        monkeypatch.setattr(ft, name, counted)
+    nlml_value_and_grad(spec, stacks, X, y, ft.pack_hyper(spec, math.log(0.3)))
+    assert len(drawn) == spec.Q
+
+
+def test_workspace_buffers_are_private_mappings(monkeypatch):
+    # a fit's workspace lives outside malloc's heap, so its pages leave with
+    # it; calls without a workspace keep numpy's allocator (and tracemalloc),
+    # and so does a workspace where mmap has no MAP_ANONYMOUS (Windows)
+    rng = np.random.default_rng(9)
+    spec = ft.KernelSpec.template("gm", 3, 2, 4)
+    stacks = ft.build_stacks(spec, seed=5)
+    X, y = rng.standard_normal((20, 3)), rng.standard_normal(20)
+    h = ft.pack_hyper(spec, math.log(0.3))
+    work = {}
+    f, g = nlml_value_and_grad(spec, stacks, X, y, h, work=work)
+    assert sorted(work) == ["chain", "co", "design", "gram"]
+    for buffer in work.values():
+        assert isinstance(buffer.base, mmap.mmap) and buffer.flags.f_contiguous and buffer.flags.writeable
+    assert gp._buffer(None, "design", (4, 3)).base is None
+    monkeypatch.delattr(mmap, "MAP_ANONYMOUS")
+    work = {}
+    f_heap, g_heap = nlml_value_and_grad(spec, stacks, X, y, h, work=work)
+    assert sorted(work) == ["chain", "co", "design", "gram"]
+    assert all(buffer.base is None and buffer.flags.f_contiguous for buffer in work.values())
+    assert f_heap == f
+    np.testing.assert_array_equal(g_heap, g)
+
+
+@pytest.mark.parametrize("mode", ["feature", "data"])
+@pytest.mark.parametrize("family, Q, m", DIGEST_SHAPES, ids=[s[0] for s in DIGEST_SHAPES])
+def test_value_without_gradient_is_the_same_value(family, Q, m, mode, monkeypatch):
+    # grad=False gives the NLML of a full evaluation bit for bit, with no
+    # co-matrix, chain rule or gradient contraction
+    rng = np.random.default_rng(zlib.crc32(family.encode()))
+    spec = ft.KernelSpec.template(family, 3, Q, m)
+    spec = spec.with_params(spec.params + 0.1 * rng.standard_normal(spec.n_params))
+    stacks = ft.build_stacks(spec, seed=2)
+    X, y = rng.standard_normal((40, 3)), rng.standard_normal(40)
+    h = ft.pack_hyper(spec, math.log(0.3))
+    want = nlml_value_and_grad(spec, stacks, X, y, h, mode=mode)[0]
+
+    def no_gradient(*args, **kwargs):
+        raise AssertionError("gradient formed")
+
+    monkeypatch.setattr(gp, "_co_matrix", no_gradient)
+    monkeypatch.setattr(gp, "feature_param_gradients", no_gradient)
+    work = {}
+    assert nlml_value_and_grad(spec, stacks, X, y, h, mode=mode, work=work, grad=False) == (want, None)
+    assert sorted(work) == ["design", "gram"]
 
 
 @pytest.mark.parametrize(

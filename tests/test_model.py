@@ -186,6 +186,16 @@ def test_load_rejects_garbage(tmp_path):
         load_model(p)
 
 
+def test_load_rejects_a_header_too_large_for_a_float(tmp_path):
+    # the block count is integer arithmetic, so an m_per_group past float
+    # range sizes the payload instead of overflowing
+    p = tmp_path / "big.bin"
+    p.write_bytes(b'ffgp-model 1\n{"Q":1,"d_in":1,"family":"frbf","m_per_group":1' + b"0" * 400
+                  + b',"n_train":"000000000010","seed":0}\n' + bytes(64))
+    with pytest.raises(ParseError, match="header implies"):
+        load_model(p)
+
+
 def test_load_rejects_truncated_payload(tmp_path):
     model, _, _ = small_model()
     p = tmp_path / "m.bin"
@@ -219,6 +229,10 @@ def test_spec_shape_fields_must_be_integers(tmp_path):
             ft.KernelSpec.template("gm", *shape)
         with pytest.raises(DimensionError, match="must be an integer >= 1"):
             ft.KernelSpec("gm", *shape, params=np.zeros(11))
+    # a shape whose feature rows or parameters no float64 array can hold
+    for shape in ((1, 1, 2**62), (1, 2**62, 8), (2**62, 1, 8), (1, 1, 10**400)):
+        with pytest.raises(DimensionError, match="too large for one array"):
+            ft.KernelSpec.template("gm", *shape)
     spec = ft.KernelSpec.template("gm", np.int64(5), np.int64(1), np.int64(8))
     assert all(type(v) is int for v in (spec.d_in, spec.Q, spec.m_per_group))
     # an int-shaped spec saves the header bytes it always has
