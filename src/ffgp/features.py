@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.blas import dgemm
@@ -88,6 +89,23 @@ def feature_rows(family: str, Q: int, m_realized: int) -> int:
     """Design-matrix rows D: a cos and a sin row per frequency, four where a
     mu phase splits each into a +/- pair."""
     return Q * (4 if _has(family, "mu") else 2) * m_realized
+
+
+@lru_cache(maxsize=64)
+def _slot_table(family: str, d_in: int, Q: int, m_per_group: int) -> tuple:
+    """(kind, group, start, length) of every packed field of a shape, in
+    order.  group None marks a shared field; length is None for a scalar
+    field, which takes one entry.  Built once per shape: field() and the
+    accessors read it on every call."""
+    m_real = pad_geometry(d_in, m_per_group).m_total
+    shared, per_group = _LAYOUTS[family]
+    slots, start = [], 0
+    for group, fields in [(None, shared)] + [(q, per_group) for q in range(Q)]:
+        for kind, length in fields:
+            size = _field_size(length, d_in, m_real)
+            slots.append((kind, group, start, None if length is None else size))
+            start += size
+    return tuple(slots)
 
 
 def _shape_ints(family: str, *shape) -> tuple:
@@ -162,20 +180,10 @@ class KernelSpec:
 
     # ---- packed layout helpers -----------------------------------------
 
-    def _slots(self) -> list:
-        """(kind, group, start, length) of every packed field, in order.
-
-        group None marks a shared field; length is None for a scalar field,
-        which takes one entry.
-        """
-        shared, per_group = _LAYOUTS[self.family]
-        slots, start = [], 0
-        for group, fields in [(None, shared)] + [(q, per_group) for q in range(self.Q)]:
-            for kind, length in fields:
-                size = _field_size(length, self.d_in, self.m_realized)
-                slots.append((kind, group, start, None if length is None else size))
-                start += size
-        return slots
+    def _slots(self) -> tuple:
+        """(kind, group, start, length) of every packed field, in order
+        (_slot_table, one table per shape)."""
+        return _slot_table(self.family, self.d_in, self.Q, self.m_per_group)
 
     def field(self, kind: str, q=None) -> np.ndarray:
         """View of the packed entries of field `kind` (group q; None for a

@@ -48,14 +48,22 @@ nlml_value_and_grad, and train.fit through fit_posterior's overwrite_phi,
 scale Phi by V^{1/2} in place, so neither holds Phi and W at once.
 weighted_features and the default fit_posterior leave Phi as it is.  An
 evaluation given a workspace (nlml_value_and_grad's work, one per fit)
-writes Phi, the Gram (factored in place by chol_with_jitter's overwrite_a),
-C and the chain rule's (m', n) array into the same four arrays every time,
-so it allocates only small vectors.  Those four arrays are private
-anonymous memory mappings (_buffer), not malloc blocks, so a fit returns
-their pages to the OS when it drops the workspace, and its peak RSS does
-not depend on how earlier allocations left glibc's heap.  Everything else
-(an evaluation without a workspace, the posterior's Gram and factor,
-prediction blocks) comes from numpy's allocator.
+writes Phi, the Gram (factored in place by chol_with_jitter), C and the
+chain rule's (m', n) array into the same four arrays every time, so it
+allocates only small vectors.
+
+A fit's workspace, the posterior's Gram (which becomes its factor), R, a
+prediction's block of features and the factor model.load_model unpacks
+are private anonymous memory mappings (_mapped), not malloc blocks: their
+pages go back to the OS when they are dropped, so peak RSS does not
+depend on how earlier allocations left glibc's heap.  Nothing writes above
+a triangle's diagonal: `dsyrk`, `dpotrf`, the jitter ladder (which
+restarts a failed rung from the Gram's source, not from a mirrored copy),
+`dtrtri`, `dtrmm` and cho_solve all stay in the lower triangle, so with
+4 KB pages a D x D factor costs its 4 D^2 bytes plus the part of each
+column's diagonal page above the diagonal (0.60 of 8 D^2 at D = 2560).
+An evaluation without a workspace still takes its arrays from numpy's
+allocator.
 """
 
 from __future__ import annotations
@@ -64,7 +72,7 @@ import contextlib
 import math
 import mmap
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -88,78 +96,97 @@ def _as_data(phi) -> np.ndarray:
     return phi.data if isinstance(phi, DesignMatrix) else np.asarray(phi, dtype=float)
 
 
+def _mapped(shape, order: str = "F", huge: bool = False) -> np.ndarray:
+    """A zeroed float64 array of shape in its own private anonymous mapping,
+    whose pages go back to the OS when the array is dropped and become
+    resident only where something writes (np.zeros where the platform has
+    no anonymous mappings).
+
+    The mapping asks for 4 KB pages unless huge, so a triangle costs about
+    half of its square: one 2 MB huge page under the diagonal would make
+    whole columns above it resident too.  Transparent huge pages in
+    `madvise` mode give 4 KB pages without advice; the advice keeps them
+    under `always`.
+    """
+    try:
+        pages = mmap.mmap(-1, max(8 * math.prod(shape), 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    except AttributeError:  # no anonymous mappings on this platform (Windows)
+        return np.zeros(shape, order=order)
+    with contextlib.suppress(AttributeError, OSError):  # no such advice on this platform or kernel
+        pages.madvise(mmap.MADV_HUGEPAGE if huge else mmap.MADV_NOHUGEPAGE)
+    return np.ndarray(shape, np.float64, buffer=pages, order=order)
+
+
 def _buffer(work, name: str, shape) -> np.ndarray:
     """work[name]: a Fortran-order float64 array of shape, stale contents,
     allocated again only when the shape changes (np.empty if work is None).
 
-    A workspace array lives in its own private anonymous mapping, which
-    goes back to the OS when the array is dropped.  From malloc, glibc's
-    dynamic mmap threshold puts D x n arrays of up to 32 MB on the heap
-    once the first one is freed, and a fit's peak RSS then moves with
-    whatever else the process allocated first.  Every fit faults its new
-    workspace in, so the mapping asks for transparent huge pages, as numpy
-    does for its own large arrays: one pwl 5x256 fit on 1,352 rows took
-    about 18,400 minor faults on 4 KB pages and 1,500-2,000 with them.
-    Where the platform has no anonymous mappings, the workspace comes from
-    np.empty as well.
+    A workspace array is a _mapped one.  From malloc, glibc's dynamic mmap
+    threshold puts D x n arrays of up to 32 MB on the heap once the first
+    one is freed, and a fit's peak RSS then moves with whatever else the
+    process allocated first.  Unlike a triangle, a workspace's D x n arrays
+    are written whole, and every fit faults its new workspace in, so it
+    asks for huge pages: one pwl 5x256 fit on 1,352 rows took about 18,400
+    minor faults on 4 KB pages and 1,500-2,000 with them.
     """
     if work is None:
         return np.empty(shape, order="F")
     if name not in work or work[name].shape != shape:
-        try:
-            pages = mmap.mmap(-1, max(8 * math.prod(shape), 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-        except AttributeError:  # no anonymous mappings on this platform (Windows)
-            work[name] = np.empty(shape, order="F")
-        else:
-            with contextlib.suppress(AttributeError, OSError):  # no MADV_HUGEPAGE on this platform or kernel
-                pages.madvise(mmap.MADV_HUGEPAGE)
-            work[name] = np.ndarray(shape, np.float64, buffer=pages, order="F")
+        work[name] = _mapped(shape, huge=True)
     return work[name]
 
 
-def _mirror(a: np.ndarray, zero: bool = False) -> None:
-    """Copy a's strict lower triangle onto its strict upper one (zeroes it with
-    zero) in cache- and TLB-sized 128 x 128 tiles; _mirror(a.T) copies it back."""
-    upper = ~np.tri(128, dtype=bool)  # a diagonal tile's strict upper triangle
-    for j in range(0, a.shape[0], 128):
-        k = min(j + 128, a.shape[0])
-        for i in range(0, j, 128):
-            a[i : i + 128, j:k] = 0.0 if zero else a[j:k, i : i + 128].T
-        block = a[j:k, j:k]
-        np.copyto(block, 0.0 if zero else block.T, where=upper[: k - j, : k - j])
+def _lower_panels(dim: int):
+    """(cols, below, lower) for each 128-column panel of a dim x dim lower
+    triangle: the panel's columns (and its diagonal tile's rows), the rows
+    below that tile, and the tile's lower-triangle mask.  Tiles this size
+    keep a copy between memory orders within the cache and the TLB."""
+    lower = np.tri(128, dtype=bool)
+    for j in range(0, dim, 128):
+        k = min(j + 128, dim)
+        yield slice(j, k), slice(k, None), lower[: k - j, : k - j]
 
 
-def chol_with_jitter(a: np.ndarray, *, overwrite_a: bool = False):
+def _copy_lower(dst: np.ndarray, src: np.ndarray) -> None:
+    """Copy src's lower triangle, diagonal included, into dst's; dst's strict
+    upper triangle is neither read nor written."""
+    for cols, below, lower in _lower_panels(dst.shape[0]):
+        np.copyto(dst[cols, cols], src[cols, cols], where=lower)
+        dst[below, cols] = src[below, cols]
+
+
+def chol_with_jitter(a: np.ndarray, *, refill=None):
     """Lower Cholesky factor with escalating diagonal jitter.
 
     Reads only the lower triangle of a, which must be finite (it is not
     scanned).  Starts at 1e-10 * trace/dim and multiplies by 10 up to
-    1e-4 * trace before giving up.  Returns (L, jitter_used).  By default a
-    is left as it was and L has a zero upper triangle.  overwrite_a=True
-    factors a Fortran-order float64 a (gp's own Grams) in place: L is a, its
-    strict upper triangle a copy of a's strict lower one, from which each
-    jitter rung restarts, so L may go only to lower-triangle readers
-    (`dtrtri`, `dtrmm`, cho_solve).  `dpotrf` skips scipy's slow clean pass.
+    1e-4 * trace before giving up.  Returns (L, jitter_used).  Nothing
+    writes a strict upper triangle.  By default a is left as it was, L is a
+    new _mapped array whose strict upper triangle is 0, and each jitter rung
+    restarts from a's lower triangle.  With refill, a Fortran-order float64
+    a (gp's own Grams) is factored in place, L is a, and each rung restarts
+    with refill(a), which must write a's lower triangle again as it was
+    (the `dsyrk` that made it), so no copy of the Gram is kept for a rung
+    that rarely runs.  `dpotrf` skips scipy's slow clean pass.
     """
     dim = a.shape[0]
     if dim == 0:
         return np.zeros((0, 0)), 0.0
-    if not overwrite_a:
-        a = np.array(a, dtype=float, order="F")
+    if refill is None:
+        refill = partial(_copy_lower, src=np.asarray(a, dtype=float))
+        a = _mapped(a.shape)
+        refill(a)
     elif a.dtype != np.float64 or not a.flags.f_contiguous:
-        raise DimensionError("overwrite_a needs a Fortran-order float64 array")
+        raise DimensionError("factoring in place needs a Fortran-order float64 array")
     scale = max(float(np.trace(a)), np.finfo(float).tiny)
     diag = a.diagonal().copy()
-    _mirror(a)
     jitter, step = 0.0, 1e-10 * scale / dim
     while dpotrf(a, lower=1, clean=0, overwrite_a=1)[1] != 0:  # a leading minor is not positive
         jitter, step = step, step * 10.0
         if jitter > 1e-4 * scale:
             raise IllConditionedError(f"Cholesky failed after jitter escalation to {1e-4 * scale:g}")
-        _mirror(a.T)
+        refill(a)
         np.fill_diagonal(a, diag + jitter)
-    if not overwrite_a:
-        _mirror(a, zero=True)
     return a, jitter
 
 
@@ -254,7 +281,8 @@ def _core(W: np.ndarray, y: np.ndarray, noise_var: float, mode: str, work=None, 
     or alpha); r and tr(K^{-1}) both come from q = diag(W K^{-1} W^T), the
     row sums of C * W.  C comes from _co_matrix, which consumes the factor,
     so it runs last.  The Gram is factored in place and C written in work's
-    buffers ("gram", "co"; new arrays when work is None).
+    buffers ("gram", "co"; new arrays when work is None); a jitter rung
+    rewrites the Gram from W by `dsyrk`.
     """
     D, n = W.shape
     form = _form(D, n) if mode == "auto" else mode
@@ -262,7 +290,8 @@ def _core(W: np.ndarray, y: np.ndarray, noise_var: float, mode: str, work=None, 
         raise DomainError(f"unknown mode {mode!r}")
     side = int(form == "data")
     size = W.shape[side]
-    L, _ = chol_with_jitter(_gram(W, noise_var, side, _buffer(work, "gram", (size, size))), overwrite_a=True)
+    gram = _gram(W, noise_var, side, _buffer(work, "gram", (size, size)))
+    L, _ = chol_with_jitter(gram, refill=partial(_gram, W, noise_var, side))
     logdet = 2.0 * np.sum(np.log(np.diag(L))) + (n - size) * np.log(noise_var)
     rhs = matvec(W, y) if side == 0 else y
     solved = cho_solve((L, True), rhs, check_finite=False)  # u = A^{-1} W y, or alpha = K^{-1} y
@@ -294,25 +323,35 @@ class PosteriorState:
     @cached_property
     def scaled_inverse(self) -> np.ndarray:
         """R = L^{-1} V^{1/2} (lower triangular, D x D), built on first use:
-        one `dtrtri` on a copy of the factor, then its columns scaled by
-        sqrt(weight_diag) in place.  IllConditionedError on a zero diagonal."""
-        R = _tri_inverse(self.chol_factor, overwrite=False)
-        R *= np.sqrt(self.weight_diag)
+        the factor's lower triangle copied into a new Fortran-order _mapped
+        array (from either memory order), one in-place `dtrtri`, then each
+        column's lower part scaled by sqrt(weight_diag).  Nothing writes
+        above the diagonal, so R costs its triangle.  IllConditionedError on
+        a zero diagonal."""
+        R = _mapped(self.chol_factor.shape)
+        _copy_lower(R, self.chol_factor)
+        _tri_inverse(R, overwrite=True)
+        scale = np.sqrt(self.weight_diag)
+        for cols, below, lower in _lower_panels(R.shape[0]):
+            np.multiply(R[cols, cols], scale[cols], out=R[cols, cols], where=lower)
+            R[below, cols] *= scale[cols]
         return R
 
 
 def fit_posterior(phi, weight_diag, y, noise_var, *, overwrite_phi: bool = False) -> PosteriorState:
     """beta = V^{1/2} A^{-1} (V^{1/2} Phi) y with A's Cholesky factor kept.
 
-    A is factored in its own array.  overwrite_phi=True lets W = V^{1/2} Phi
-    overwrite a float64 phi in place (train.fit passes the features it has
-    just built), so the posterior holds one D x n and one D x D array; phi
-    then holds W.
+    A is factored in place in a new _mapped array, which becomes the
+    state's factor: nothing writes its strict upper triangle, which stays 0
+    and costs no resident memory, and a jitter rung rewrites the lower one
+    from W by `dsyrk`.  overwrite_phi=True lets W = V^{1/2} Phi overwrite a
+    float64 phi in place (train.fit passes the features it has just built),
+    so the posterior holds one D x n and one D x D array; phi then holds W.
     """
     W, y = _checked(phi, weight_diag, y, noise_var, min_points=0, overwrite=overwrite_phi)
-    L, _ = chol_with_jitter(_gram(W, noise_var, 0), overwrite_a=True)
+    D = W.shape[0]
+    L, _ = chol_with_jitter(_gram(W, noise_var, 0, _mapped((D, D))), refill=partial(_gram, W, noise_var, 0))
     u = cho_solve((L, True), matvec(W, y), check_finite=False)
-    _mirror(L, zero=True)  # the factor leaves gp here
     w = np.array(weight_diag, dtype=float)  # a copy the state owns
     return PosteriorState(beta=np.sqrt(w) * u, chol_factor=L, noise_var=float(noise_var), weight_diag=w)
 

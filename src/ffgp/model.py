@@ -8,6 +8,8 @@ save -> load -> predict path bit-identical to in-memory prediction.
 """
 
 import json
+import math
+import os
 
 import numpy as np
 from dataclasses import dataclass
@@ -23,19 +25,21 @@ from .features import (
     feature_weight_matrix,
     hyper_count,
 )
-from .gp import PosteriorState, predict
+from .gp import PosteriorState, _mapped, predict
 from .hadamard import pad_geometry
 
 MAGIC = "ffgp-model"
 FORMAT_VERSION = 1
 _POSITIVE = ("noise_var", "x_std", "y_std")  # scales; everything stored must be finite
 # Prediction runs in row blocks of at most this many design-matrix bytes
-# (2,048 rows at D = 2560) in one buffer per call, which each block's
+# (1,024 rows at D = 2560) in one mapped buffer per call, which each block's
 # features fill and the triangular product overwrites, so its memory is two
-# D x D factors (the unpacked L and R = L^{-1} V^{1/2}, 8 D^2 bytes each)
-# plus one block, whatever the number of rows.  Power-of-two row counts keep
+# D x D triangles (the factor L and R = L^{-1} V^{1/2}, each resident as its
+# triangle, about 0.6 of 8 D^2 bytes at D = 2560) plus one block, whatever
+# the number of rows.  `dtrmm` runs at the same speed from 1,024 columns
+# up, so a smaller block only saves memory.  Power-of-two row counts keep
 # the results within an ulp of a single-block prediction.
-_PREDICT_BLOCK_BYTES = 1 << 26
+_PREDICT_BLOCK_BYTES = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -76,7 +80,7 @@ class TrainedModel:
             state = PosteriorState(beta=self.beta, chol_factor=self.chol_factor,
                                    noise_var=self.noise_var, weight_diag=feature_weight_matrix(self.spec))
             X = self.standardization.apply_x(X_raw)
-            block = np.empty((self.spec.n_rows, min(rows, n)), order="F")
+            block = _mapped((self.spec.n_rows, min(rows, n)))
             for lo in range(0, n, rows):
                 hi = min(lo + rows, n)
                 phi = compute_features(self.spec, stacks, X[lo:hi], out=block[:, : hi - lo])
@@ -96,6 +100,12 @@ class TrainedModel:
 # rest:   concatenated little-endian f8 arrays in the fixed order below;
 #         every length is derivable from the header, so no length table.
 #         The Cholesky factor is its lower triangle, row by row.
+#
+# The factor is written and read in chunks of 128 rows (_row_chunks), so
+# neither direction holds a packed copy of the triangle: save_model packs
+# one chunk at a time, and load_model reads the payload straight from the
+# file, one chunk at a time into the lower half of a C-order _mapped
+# factor, whose strict upper triangle is never written or made resident.
 
 
 def _array_order(family: str, d: int, Q: int, m_per_group: int):
@@ -134,12 +144,14 @@ def _header(model: TrainedModel) -> bytes:
     return header.encode("ascii")
 
 
-def _tril_rows(D: int):
-    """(row, slice of the packed triangle) for each row of a D x D lower triangle."""
-    start = 0
-    for i in range(D):
-        yield i, slice(start, start + i + 1)
-        start += i + 1
+def _row_chunks(D: int):
+    """(index, mask, count) per 128-row chunk of a D x D lower triangle: the
+    chunk's rows over its leading columns, the mask of their lower-triangle
+    entries and how many there are.  Masked entries in row-major order are
+    the chunk's stretch of the packed triangle."""
+    for i in range(0, D, 128):
+        k = min(i + 128, D)
+        yield (slice(i, k), slice(0, k)), np.tri(k - i, k, i, dtype=bool), (k * (k + 1) - i * (i + 1)) // 2
 
 
 def model_nbytes(model: TrainedModel) -> int:
@@ -151,15 +163,10 @@ def model_nbytes(model: TrainedModel) -> int:
 
 def save_model(model: TrainedModel, path) -> None:
     spec = model.spec
-    L = model.chol_factor
-    packed = np.empty(spec.n_rows * (spec.n_rows + 1) // 2)
-    for i, span in _tril_rows(spec.n_rows):
-        packed[span] = L[i, : i + 1]
     std = model.standardization
     blocks = {
         "params": spec.params,
         "beta": model.beta,
-        "chol": packed,
         "noise_var": [model.noise_var],
         "nlml": [model.nlml],
         "x_mean": std.x_mean,
@@ -170,57 +177,69 @@ def save_model(model: TrainedModel, path) -> None:
     with open(path, "wb") as fh:
         fh.write(_header(model))
         for name, length in _array_order(spec.family, spec.d_in, spec.Q, spec.m_per_group):
-            fh.write(np.ascontiguousarray(np.asarray(blocks[name], dtype="<f8").reshape(length)))
+            if name == "chol":
+                for index, mask, _ in _row_chunks(spec.n_rows):
+                    fh.write(np.ascontiguousarray(model.chol_factor[index][mask], dtype="<f8"))
+            else:
+                fh.write(np.ascontiguousarray(np.asarray(blocks[name], dtype="<f8").reshape(length)))
+
+
+def _read_floats(fh, count: int, name: str, path) -> np.ndarray:
+    """The next count little-endian f8 values of fh, a read-only view of the
+    bytes read, checked finite (and positive for _POSITIVE names)."""
+    values = np.frombuffer(fh.read(8 * count), dtype="<f8")
+    if values.size != count:  # the file shrank after its length was checked
+        raise ParseError(f"{path}: payload ended before {name}'s {count} floats")
+    # min and max propagate NaN, so this scans without a mask of the values
+    if not (np.isfinite(values.min(initial=0.0)) and np.isfinite(values.max(initial=0.0))) or (
+        name in _POSITIVE and np.any(values <= 0.0)
+    ):
+        raise ParseError(f"{path}: bad {name} in payload (non-finite or out of range)")
+    return values
 
 
 def load_model(path) -> TrainedModel:
     with open(path, "rb") as fh:
-        raw = fh.read()
-    first = raw.find(b"\n")
-    second = raw.find(b"\n", first + 1)
-    if first < 0 or second < 0:
-        raise ParseError(f"{path}: not a model file (missing header)")
-    magic = raw[:first].decode("ascii", errors="replace").split()
-    if len(magic) != 2 or magic[0] != MAGIC:
-        raise ParseError(f"{path}: not a model file (bad magic)")
-    if magic[1] != str(FORMAT_VERSION):
-        raise ParseError(f"{path}: unsupported format version {magic[1]}")
-    try:
-        meta = json.loads(raw[first + 1 : second].decode("ascii"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: bad metadata header ({exc})") from exc
-    n_train = meta.get("n_train") if isinstance(meta, dict) else None
-    if not (
-        isinstance(n_train, str) and n_train.isascii() and n_train.isdigit()
-        and meta.get("family") in FAMILIES
-        and all(type(meta.get(k)) is int and meta[k] >= 1 for k in ("d_in", "Q", "m_per_group"))
-        and type(meta.get("seed")) is int and meta["seed"] >= 0
-    ):
-        raise ParseError(f"{path}: bad metadata header (missing, mistyped or out-of-range keys)")
+        first, second = fh.readline(), fh.readline()
+        if not (first.endswith(b"\n") and second.endswith(b"\n")):
+            raise ParseError(f"{path}: not a model file (missing header)")
+        magic = first[:-1].decode("ascii", errors="replace").split()
+        if len(magic) != 2 or magic[0] != MAGIC:
+            raise ParseError(f"{path}: not a model file (bad magic)")
+        if magic[1] != str(FORMAT_VERSION):
+            raise ParseError(f"{path}: unsupported format version {magic[1]}")
+        try:
+            meta = json.loads(second[:-1].decode("ascii"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ParseError(f"{path}: bad metadata header ({exc})") from exc
+        n_train = meta.get("n_train") if isinstance(meta, dict) else None
+        if not (
+            isinstance(n_train, str) and n_train.isascii() and n_train.isdigit()
+            and meta.get("family") in FAMILIES
+            and all(type(meta.get(k)) is int and meta[k] >= 1 for k in ("d_in", "Q", "m_per_group"))
+            and type(meta.get("seed")) is int and meta["seed"] >= 0
+        ):
+            raise ParseError(f"{path}: bad metadata header (missing, mistyped or out-of-range keys)")
 
-    fields = (meta["family"], meta["d_in"], meta["Q"], meta["m_per_group"])
-    order = _array_order(*fields)
-    total = sum(length for _, length in order)
-    payload = raw[second + 1 :]
-    if len(payload) % 8:
-        raise ParseError(f"{path}: payload of {len(payload)} bytes is not whole floats")
-    flat = np.frombuffer(payload, dtype="<f8")
-    if flat.shape[0] != total:
-        raise ParseError(
-            f"{path}: payload has {flat.shape[0]} floats, header implies {total}"
-        )
-    parts, pos = {}, 0
-    for name, length in order:
-        part = parts[name] = flat[pos : pos + length].astype(float)
-        pos += length
-        if not np.all(np.isfinite(part)) or (name in _POSITIVE and np.any(part <= 0.0)):
-            raise ParseError(f"{path}: bad {name} in payload (non-finite or out of range)")
+        fields = (meta["family"], meta["d_in"], meta["Q"], meta["m_per_group"])
+        order = _array_order(*fields)
+        total = sum(length for _, length in order)
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload % 8:
+            raise ParseError(f"{path}: payload of {payload} bytes is not whole floats")
+        if payload // 8 != total:
+            raise ParseError(f"{path}: payload has {payload // 8} floats, header implies {total}")
+        parts = {}
+        for name, length in order:
+            if name == "chol":  # chunk by chunk: no packed copy of the triangle
+                D = (math.isqrt(8 * length + 1) - 1) // 2
+                chol = _mapped((D, D), order="C")
+                for index, mask, count in _row_chunks(D):
+                    chol[index][mask] = _read_floats(fh, count, name, path)
+            else:  # a copy, so nothing the model keeps holds the bytes read
+                parts[name] = _read_floats(fh, length, name, path).astype(float)
 
     spec = KernelSpec(*fields, params=parts["params"])
-    D = spec.n_rows
-    chol = np.zeros((D, D))
-    for i, span in _tril_rows(D):
-        chol[i, : i + 1] = parts["chol"][span]
     if not np.all(np.diag(chol) > 0.0):
         raise ParseError(f"{path}: bad chol in payload (non-positive diagonal)")
     std = Standardization(

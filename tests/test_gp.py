@@ -5,6 +5,7 @@ import ast
 import inspect
 import math
 import mmap
+import os
 import textwrap
 import tracemalloc
 import zlib
@@ -276,30 +277,76 @@ def test_chol_matches_scipy_and_keeps_its_input():
 
 
 def test_in_place_factor_matches_copying_path():
-    # overwrite_a factors the Gram in its own array and keeps the strict
-    # lower triangle in the strict upper one, so every rung of the jitter
-    # ladder restarts from it; L and the jitter equal the copying path's
+    # with refill, the Gram is factored in its own array and every rung of
+    # the jitter ladder restarts from refill's rewrite of the lower
+    # triangle; L and the jitter equal the copying path's, and the strict
+    # upper triangle (NaN here) is neither read nor written
     rng = np.random.default_rng(6)
     B, thin = rng.standard_normal((300, 400)), rng.standard_normal((300, 5))
+    lower = np.tril_indices(300)
     for a in (B @ B.T, thin @ thin.T):  # the second has rank 5 and needs jitter
         want, jitter = chol_with_jitter(a)
+        assert not np.any(np.triu(want, 1))
         given = np.asfortranarray(np.tril(a) + np.triu(np.full_like(a, np.nan), 1))
-        L, got_jitter = chol_with_jitter(given, overwrite_a=True)
+        refills = []
+
+        def refill(out):
+            refills.append(jitter)
+            out[lower] = a[lower]
+
+        L, got_jitter = chol_with_jitter(given, refill=refill)
         assert L is given and got_jitter == jitter
+        assert bool(refills) == (jitter > 0)  # one rewrite per failed rung
         np.testing.assert_array_equal(np.tril(L), want)
-        np.testing.assert_array_equal(np.triu(L, 1), np.triu(a.T, 1))
+        assert np.all(np.isnan(L[np.triu_indices(300, 1)]))
         # the ladder factors a + jitter I, bit for bit
         np.testing.assert_array_equal(want, cholesky(a + jitter * np.eye(300), lower=True))
     assert jitter > 0
     with pytest.raises(DimensionError):
-        chol_with_jitter(np.ascontiguousarray(a), overwrite_a=True)
+        chol_with_jitter(np.ascontiguousarray(a), refill=refill)
 
 
-def test_posterior_overwrite_phi_weights_in_place():
+@pytest.mark.parametrize("form", ["feature", "data", "posterior"])
+def test_jitter_ladder_restarts_from_the_gram_source(form, monkeypatch):
+    # a rank-5 W with entries near 100 and sigma^2 = 1e-12, below the
+    # factorization's rounding, make dpotrf fail, so the ladder runs;
+    # each rung rewrites the Gram from W by dsyrk, and the factor and jitter
+    # equal the copying form's on a copy of the Gram, bit for bit, with
+    # nothing written above the diagonal of a fresh Gram
+    rng = np.random.default_rng(11)
+    D, n = 40, 60
+    W = np.asfortranarray(100.0 * rng.standard_normal((D, 5)) @ rng.standard_normal((5, n)))
+    y = rng.standard_normal(n)
+    factored = []
+    chol = gp.chol_with_jitter
+
+    def recorded(a, **kwargs):
+        gram = a.copy(order="F")
+        L, jitter = chol(a, **kwargs)
+        factored.append((gram, L.copy(order="F"), jitter))
+        return L, jitter
+
+    monkeypatch.setattr(gp, "chol_with_jitter", recorded)
+    if form == "posterior":
+        factor = fit_posterior(W, np.ones(D), y, 1e-12).chol_factor
+    else:
+        work = {}  # a fresh workspace's Gram reads 0 above the diagonal
+        _core(W, y, 1e-12, form, work=work, grad=False)
+        factor = work["gram"]
+    [(gram, L, jitter)] = factored
+    want, want_jitter = chol(gram)
+    assert jitter > 0 and jitter == want_jitter
+    np.testing.assert_array_equal(L, want)
+    np.testing.assert_array_equal(factor, want)
+    assert not np.any(factor[np.triu_indices(factor.shape[0], 1)])
+
+
+def test_posterior_overwrite_phi_weights_in_place(mapped_bytes):
     phi, v, y = random_problem(21, 8000, 64)
     phi = np.asfortranarray(phi)
     want = fit_posterior(phi, v, y, 0.2)
     W = weighted_features(phi, v)
+    mapped_bytes.clear()
     tracemalloc.start()
     try:
         got = fit_posterior(phi, v, y, 0.2, overwrite_phi=True)
@@ -309,9 +356,10 @@ def test_posterior_overwrite_phi_weights_in_place():
     np.testing.assert_array_equal(got.beta, want.beta)
     np.testing.assert_array_equal(got.chol_factor, want.chol_factor)
     np.testing.assert_array_equal(phi, W)  # phi now holds W
-    # no second D x n array; the Gram is factored in place and the finite
-    # check allocates no mask
-    assert peak < 0.5 * phi.nbytes
+    # no second D x n array; the Gram is factored in place (in a mapping,
+    # counted at its full size) and the finite check allocates no mask
+    assert mapped_bytes == [8 * 64 * 64]
+    assert peak + sum(mapped_bytes) < 0.5 * phi.nbytes
 
 
 def test_validation_errors():
@@ -398,10 +446,11 @@ def test_one_evaluation_holds_two_design_arrays(family, Q, m):
 
 @pytest.mark.parametrize("mode", ["feature", "data"])
 @pytest.mark.parametrize("family, Q, m", DIGEST_SHAPES, ids=[s[0] for s in DIGEST_SHAPES])
-def test_shared_workspace_gives_the_bits_of_fresh_calls(family, Q, m, mode):
-    # one workspace through h1, h2, h1, then once more with every buffer
-    # filled with NaN: no stale design, Gram, upper-triangle or co-matrix
-    # value reaches f or g
+def test_shared_workspace_gives_the_bits_of_fresh_calls(family, Q, m, mode, monkeypatch):
+    # one workspace through h1, h2, h1, then twice more with every buffer
+    # filled with NaN, the second time on a rank-deficient design whose Gram
+    # needs jitter: no stale design, Gram, upper-triangle, failed-rung or
+    # co-matrix value reaches f or g
     rng = np.random.default_rng(zlib.crc32(family.encode()))
     d, n = 3, 40
     spec = ft.KernelSpec.template(family, d, Q, m)
@@ -421,6 +470,28 @@ def test_shared_workspace_gives_the_bits_of_fresh_calls(family, Q, m, mode):
         assert f == want_f
         np.testing.assert_array_equal(g, want_g)
     assert sorted(work) == ["chain", "co", "design", "gram"]
+    # 10 distinct points, four times each, and sigma^2 = 1e-18 (below the
+    # factorization's rounding) leave both Grams singular up to the noise,
+    # so dpotrf fails on the NaN-filled one
+    jitters = []
+    chol = gp.chol_with_jitter
+
+    def recorded(a, **kwargs):
+        L, jitter = chol(a, **kwargs)
+        jitters.append(jitter)
+        return L, jitter
+
+    monkeypatch.setattr(gp, "chol_with_jitter", recorded)
+    X_low = np.repeat(X[:10], 4, axis=0)
+    h_low = h2.copy()
+    h_low[0] = math.log(1e-9)
+    for buffer in work.values():
+        buffer.fill(np.nan)
+    f, g = nlml_value_and_grad(spec, stacks, X_low, y, h_low, mode=mode, work=work)
+    want_f, want_g = nlml_value_and_grad(spec, stacks, X_low, y, h_low, mode=mode)
+    assert len(jitters) == 2 and min(jitters) > 0
+    assert f == want_f
+    np.testing.assert_array_equal(g, want_g)
 
 
 @pytest.mark.parametrize(
@@ -584,6 +655,32 @@ def test_workspace_buffers_are_private_mappings(monkeypatch):
     assert all(buffer.base is None and buffer.flags.f_contiguous for buffer in work.values())
     assert f_heap == f
     np.testing.assert_array_equal(g_heap, g)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm (Linux)")
+def test_scaled_inverse_is_resident_as_a_triangle():
+    # R is written only on and below its diagonal, in a mapping with 4 KB
+    # pages, so building it makes about half of its 8 D^2 bytes resident
+    # (a full array read 8 D^2)
+    def resident():
+        with open("/proc/self/statm") as fh:
+            return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+    D = 2048
+    rng = np.random.default_rng(12)
+    L = np.tril(rng.uniform(-1.0, 1.0, (D, D)) / D) + 2.0 * np.eye(D)
+    v = rng.uniform(0.5, 2.0, size=D)
+
+    def state():
+        return PosteriorState(beta=np.zeros(D), chol_factor=L, noise_var=1.0, weight_diag=v)
+
+    state().scaled_inverse  # warm-up: the BLAS's own buffers at this size
+    fresh = state()
+    before = resident()
+    R = fresh.scaled_inverse
+    grown = resident() - before
+    assert grown < 0.75 * 8 * D * D
+    np.testing.assert_array_equal(R, dtrtri(L, lower=1)[0] * np.sqrt(v))
 
 
 @pytest.mark.parametrize("mode", ["feature", "data"])

@@ -120,7 +120,7 @@ def test_prediction_blocks_fill_one_buffer(monkeypatch):
     np.testing.assert_allclose(blocked, whole, rtol=1e-12)
 
 
-def test_prediction_memory_is_set_by_the_block_not_the_rows(monkeypatch):
+def test_prediction_memory_is_set_by_the_block_not_the_rows(monkeypatch, mapped_bytes):
     spec = ft.KernelSpec.frbf(2, 256, lengthscale=0.8)
     D, rows, n = spec.n_rows, 64, 2048
     X, y = make_smooth(200, d=2, seed=5)
@@ -131,6 +131,7 @@ def test_prediction_memory_is_set_by_the_block_not_the_rows(monkeypatch):
     block = 8 * D * rows
     monkeypatch.setattr(model_module, "_PREDICT_BLOCK_BYTES", block)
     X_test = make_smooth(n, d=2, seed=6)[0]
+    mapped_bytes.clear()
     tracemalloc.start()
     try:
         model.predict(X_test)
@@ -139,8 +140,41 @@ def test_prediction_memory_is_set_by_the_block_not_the_rows(monkeypatch):
         tracemalloc.stop()
     # R = L^{-1} V^{1/2} (8 D^2 bytes, built inside this call), one block of
     # features that the product overwrites and the (rows, m) frequencies:
-    # against 32 blocks for the whole design matrix
-    assert peak < 8 * D * D + 3 * block
+    # against 32 blocks for the whole design matrix.  R and the block are
+    # mappings, counted at their full size
+    assert sorted(mapped_bytes) == [block, 8 * D * D]
+    assert peak + sum(mapped_bytes) < 8 * D * D + 3 * block
+
+
+def test_save_and_load_hold_no_packed_copy_of_the_factor(tmp_path, mapped_bytes):
+    # load_model reads the triangle from the file a chunk of rows at a time
+    # into the factor, so it holds the factor (a mapping, counted at 8 D^2)
+    # and less than the file beside it; save_model packs one chunk at a time
+    spec = ft.KernelSpec.frbf(1, 512, lengthscale=0.5)
+    D = spec.n_rows
+    X, y = make_cosine(200, seed=1)
+    weights = ft.feature_weight_matrix(spec)
+    state = fit_posterior(ft.compute_features(spec, ft.build_stacks(spec, 0), X), weights, y, 0.1)
+    model = TrainedModel(spec, 0, 0.1, 0.0, state.beta, state.chol_factor,
+                         Standardization.identity(1), 200)
+    p = tmp_path / "m.bin"
+    peaks = []
+    for call in (lambda: save_model(model, p), lambda: load_model(p)):
+        mapped_bytes.clear()
+        tracemalloc.start()
+        try:
+            loaded = call()
+            peaks.append(tracemalloc.get_traced_memory()[1] + sum(mapped_bytes))
+        finally:
+            tracemalloc.stop()
+    size = p.stat().st_size
+    assert D == 1024 and size > 4 * D * D
+    assert peaks[0] < 0.5 * size
+    assert peaks[1] <= size + 8 * D * D
+    # the small arrays are copies, so nothing the model keeps holds a read buffer
+    assert loaded.beta.base is None and loaded.spec.params.base is None
+    np.testing.assert_array_equal(loaded.chol_factor, model.chol_factor)
+    assert loaded.chol_factor.flags.c_contiguous
 
 
 def test_predict_validates_dimensions():
