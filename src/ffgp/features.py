@@ -532,16 +532,24 @@ def param_info(spec: KernelSpec, index: int):
 
 
 def feature_param_gradients(
-    spec: KernelSpec, stacks, X: np.ndarray, M: np.ndarray, phi: DesignMatrix, *, scratch
+    spec: KernelSpec, stacks, X: np.ndarray, M: np.ndarray, phi: DesignMatrix, *, scratch,
+    groups=None, out=None,
 ) -> np.ndarray:
-    """Contract a co-matrix M (same shape as phi.data) against all dPhi/dtheta.
+    """Contract a co-matrix M against all dPhi/dtheta of the groups given.
 
     Returns g with g[k] = <M, dPhi/dtheta_k> for every packed feature
     parameter, zeros at weight-only coordinates (the likelihood handles those
-    through the weight diagonal).  phi.data may be W = V^{1/2} Phi, as
-    gp.nlml_value_and_grad passes it: the weights depend only on the
-    weight-only coordinates, and a frequency's cos and sin rows share one,
-    so <M, dW/dtheta_k> = <V^{1/2} M, dPhi/dtheta_k>.  Per group, the trig
+    through the weight diagonal).  groups is a range of groups (all of them
+    by default) and M holds their rows of the co-matrix, in order; a call
+    per row block of groups, in group order and into one out vector, gives
+    the bits of one call over them all (a shared field sums over the groups
+    in the same order), so a caller never holds M whole.  out, when given,
+    is a float64 vector of the packed parameters' length that the call
+    writes its groups' entries of (adding into shared ones) and returns.
+    phi.data may be W = V^{1/2} Phi, as gp.nlml_value_and_grad passes it:
+    the weights depend only on the weight-only coordinates, and a
+    frequency's cos and sin rows share one, so
+    <M, dW/dtheta_k> = <V^{1/2} M, dPhi/dtheta_k>.  Per group, the trig
     chain rule gives T = dL/dxi (m', n, point-major like phi.data), and
     every parameter that moves xi = op^T xs^T enters through
     C = (T xs)^T (d_in, m') and the operator phi.operators[q]: a scale on
@@ -560,15 +568,17 @@ def feature_param_gradients(
     n, d_in, m = X.shape[0], spec.d_in, spec.m_realized
     T = scratch
     rpg = spec.rows_per_group
-    grad = np.zeros(spec.n_params)
+    groups = range(spec.Q) if groups is None else groups
+    grad = np.zeros(spec.n_params) if out is None else out
     slot = spec.with_params(grad).field  # views into grad, laid out as params
     fam = spec.family
 
-    for q in range(spec.Q):
+    for q in groups:
         rows = slice(q * rpg, (q + 1) * rpg)
+        own = slice((q - groups.start) * rpg, (q - groups.start + 1) * rpg)  # its rows of M
         if _has(fam, "mu"):
             sin_p, cos_p, sin_m, cos_m = phi.data[rows].reshape(4, m, n)
-            Msp, Mcp, Msm, Mcm = M[rows].reshape(4, m, n)
+            Msp, Mcp, Msm, Mcm = M[own].reshape(4, m, n)
             t_plus = _trig_chain(Msp, cos_p, Mcp, sin_p, out=Msp)
             t_minus = _trig_chain(Msm, cos_m, Mcm, sin_m, out=Msm)
             # the phase moves the + rows by +x_j and the - rows by -x_j
@@ -576,7 +586,7 @@ def feature_param_gradients(
             np.add(t_plus, t_minus, out=T)  # xi moves both
         else:
             cos_rows, sin_rows = phi.data[rows].reshape(2, m, n)
-            Mc, Ms = M[rows].reshape(2, m, n)
+            Mc, Ms = M[own].reshape(2, m, n)
             _trig_chain(Ms, cos_rows, Mc, sin_rows, out=T)
         # every xi-moving derivative is linear in C; the C-order (d_in, m)
         # transpose of T xs is what fwht_inplace needs below

@@ -23,13 +23,19 @@ feature form, W L^{-T} L^{-1} in the data form.  That is the flop count of
 two triangular solves plus D^3/3 (or n^3/3), but scipy's OpenBLAS runs
 `trmm` at GEMM speed and `trsm` well below it.  Its accuracy is that of the
 solves (tr K_y^{-1} to 1e-10 relative on a rank-deficient A with
-sigma^2=1e-6), where `dpotri` + `dsymm` lost six digits.  The posterior
-keeps beta = V^{1/2} A^{-1} W y plus the Cholesky factor of A, which is all
-the state prediction needs: mean = phi*^T beta and
-var = sigma^2 (1 + ||R phi*||^2) with R = L^{-1} V^{1/2}.  R is one more
-`dtrtri`, paid by the first prediction from a state (never by a fit), and
-each block of test features is then one `dtrmm` product, for the same
-GEMM-over-`trsm` reason.
+sigma^2=1e-6), where `dpotri` + `dsymm` lost six digits.  In the data form
+a row of W K_y^{-1} needs only its row of W, so nlml_value_and_grad builds
+C in row blocks of whole groups, the first ceil(Q/2) groups and then the
+rest (_group_blocks), each contracted into the gradient before the next is
+built; one `dtrtri` serves both, and f and g keep their bits.  The
+posterior keeps beta = V^{1/2} A^{-1} W y plus the Cholesky factor of A,
+which is all the state prediction needs: mean = phi*^T beta and
+var = sigma^2 (1 + ||L^{-1} V^{1/2} phi*||^2).  A prediction of fewer than
+2D points solves for L^{-1} V^{1/2} phi* against L by `dtrsm`, one block of
+test features at a time, and holds no other D x D array.  A larger one
+builds R = L^{-1} V^{1/2} once, one more `dtrtri` and a second triangle
+(never paid by a fit), and then takes each block as one `dtrmm`, for the
+same GEMM-over-`trsm` reason (_variance_route).
 
 Every BLAS product of an evaluation (nlml_value_and_grad) and of a
 prediction runs in scipy's OpenBLAS: the features' and the feature
@@ -48,9 +54,9 @@ nlml_value_and_grad, and train.fit through fit_posterior's overwrite_phi,
 scale Phi by V^{1/2} in place, so neither holds Phi and W at once.
 weighted_features and the default fit_posterior leave Phi as it is.  An
 evaluation given a workspace (nlml_value_and_grad's work, one per fit)
-writes Phi, the Gram (factored in place by chol_with_jitter), C and the
-chain rule's (m', n) array into the same four arrays every time, so it
-allocates only small vectors.
+writes Phi, the Gram (factored in place by chol_with_jitter), C (a row
+block of it in the data form) and the chain rule's (m', n) array into the
+same four arrays every time, so it allocates only small vectors.
 
 A fit's workspace, the posterior's Gram (which becomes its factor), R, a
 prediction's block of features and the factor model.load_model unpacks
@@ -59,7 +65,8 @@ pages go back to the OS when they are dropped, so peak RSS does not
 depend on how earlier allocations left glibc's heap.  Nothing writes above
 a triangle's diagonal: `dsyrk`, `dpotrf`, the jitter ladder (which
 restarts a failed rung from the Gram's source, not from a mirrored copy),
-`dtrtri`, `dtrmm` and cho_solve all stay in the lower triangle, so with
+`dtrtri`, `dtrmm`, `dtrsm` and cho_solve all stay in the lower triangle
+(`dtrsm` reads a C-order factor as its upper-triangular transpose), so with
 4 KB pages a D x D factor costs its 4 D^2 bytes plus the part of each
 column's diagonal page above the diagonal (0.60 of 8 D^2 at D = 2560).
 An evaluation without a workspace still takes its arrays from numpy's
@@ -77,7 +84,7 @@ from functools import cached_property, partial
 import numpy as np
 from scipy.linalg import cho_solve
 from scipy.linalg import solve_triangular  # noqa: F401  unused; perfbench/tracer.py wraps it here
-from scipy.linalg.blas import ddot, dger, dsyrk, dtrmm
+from scipy.linalg.blas import ddot, dger, dsyrk, dtrmm, dtrsm
 from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .blas import matvec
@@ -251,18 +258,33 @@ def _tri_inverse(L: np.ndarray, overwrite: bool) -> np.ndarray:
     return Linv
 
 
-def _co_matrix(L: np.ndarray, W: np.ndarray, side: int, work=None) -> np.ndarray:
-    """L^{-T} L^{-1} W (side=0) or W L^{-T} L^{-1} (side=1); overwrites L.
+def _co_blocks(L: np.ndarray, W: np.ndarray, side: int, bounds, work=None):
+    """(rows, C[rows]) for each (lo, hi) row block of bounds, in order, of
+    C = L^{-T} L^{-1} W (side=0) or W L^{-T} L^{-1} (side=1); overwrites L.
 
-    One in-place triangular inverse and two in-place `dtrmm` products on a
-    copy of W in work's "co" buffer, which keep W's point-major layout on
-    either side and read only L's lower triangle.
+    One in-place triangular inverse serves every block.  Each block copies
+    its rows of W into the leading part of work's "co" buffer, which has the
+    largest block's rows, and runs two in-place `dtrmm` products on it,
+    which keep W's point-major layout on either side and read only L's
+    lower triangle; a block's C is overwritten by the next block.  Only the
+    data form splits: a row of W K^{-1} needs only its row of W, where every
+    row of A^{-1} W needs all of W.
     """
     Linv = _tri_inverse(L, overwrite=True)
-    C = _buffer(work, "co", W.shape)
-    C[...] = W
-    dtrmm(1.0, Linv, C, side=side, lower=1, trans_a=side, overwrite_b=1)
-    return dtrmm(1.0, Linv, C, side=side, lower=1, trans_a=1 - side, overwrite_b=1)
+    n = W.shape[1]
+    co = _buffer(work, "co", (max(hi - lo for lo, hi in bounds), n)).reshape(-1, order="F")
+    for lo, hi in bounds:
+        C = co[: (hi - lo) * n].reshape((hi - lo, n), order="F")
+        C[...] = W[lo:hi]
+        dtrmm(1.0, Linv, C, side=side, lower=1, trans_a=side, overwrite_b=1)
+        yield slice(lo, hi), dtrmm(1.0, Linv, C, side=side, lower=1, trans_a=1 - side, overwrite_b=1)
+
+
+def _co_matrix(L: np.ndarray, W: np.ndarray, side: int, work=None) -> np.ndarray:
+    """The whole co-matrix, _co_blocks' one block: L^{-T} L^{-1} W (side=0)
+    or W L^{-T} L^{-1} (side=1); overwrites L."""
+    ((_, C),) = _co_blocks(L, W, side, [(0, W.shape[0])], work)
+    return C
 
 
 def _form(D: int, n: int) -> str:
@@ -270,19 +292,26 @@ def _form(D: int, n: int) -> str:
     return "feature" if D < n else "data"
 
 
-def _core(W: np.ndarray, y: np.ndarray, noise_var: float, mode: str, work=None, grad: bool = True):
-    """NLML and its gradient ingredients in the chosen form (f alone
-    without grad).
+def _group_blocks(Q: int, side: int) -> list:
+    """The ranges of groups whose rows of C an evaluation builds at a time:
+    in the data form (side=1) the first ceil(Q/2) groups, then the rest, so
+    C holds ceil(Q/2) of Q groups' rows; all Q at once in the feature form
+    or for Q=1.  Halves, not single groups: right-side `dtrmm` slows as its
+    blocks get fewer rows.  For pwl 5x256 (D = 2560, n = 1,352), C took
+    84-113 ms whole, 90-110 ms in halves of 1,536 and 1,024 rows and
+    105-141 ms a 512-row group at a time (2 vCPUs, two runs of 11)."""
+    half = (Q + 1) // 2
+    return [range(Q)] if side == 0 or Q == 1 else [range(half), range(half, Q)]
 
-    Returns a dict with f, the co-matrix C = A^{-1} W = W K^{-1} (D x n),
-    alpha = K^{-1} y, u = W alpha, r (per-feature-row diagonal of
-    W (K^{-1} - alpha alpha^T) W^T) and tr(K^{-1}).  The form picks the
-    Gram's side (A for 0, K for 1) and the vector its one solve gives (u,
-    or alpha); r and tr(K^{-1}) both come from q = diag(W K^{-1} W^T), the
-    row sums of C * W.  C comes from _co_matrix, which consumes the factor,
-    so it runs last.  The Gram is factored in place and C written in work's
-    buffers ("gram", "co"; new arrays when work is None); a jitter rung
-    rewrites the Gram from W by `dsyrk`.
+
+def _value(W: np.ndarray, y: np.ndarray, noise_var: float, mode: str, work=None):
+    """(f, alpha, u, L, side): the NLML and the one solve of the chosen form.
+
+    alpha = K^{-1} y and u = W alpha.  The form picks the Gram's side (A
+    for 0, K for 1) and the vector its one solve gives (u, or alpha).  The
+    Gram is factored in place in work's "gram" buffer (a new array when
+    work is None) into L, which the co-matrix (_co_blocks) consumes; a
+    jitter rung rewrites the Gram from W by `dsyrk`.
     """
     D, n = W.shape
     form = _form(D, n) if mode == "auto" else mode
@@ -303,12 +332,32 @@ def _core(W: np.ndarray, y: np.ndarray, noise_var: float, mode: str, work=None, 
         alpha = solved
         u = matvec(W, alpha)
         quad = ddot(y, alpha)
-    f = 0.5 * (n * np.log(2.0 * np.pi) + logdet + quad)
+    return 0.5 * (n * np.log(2.0 * np.pi) + logdet + quad), alpha, u, L, side
+
+
+def _trace_terms(q: np.ndarray, u: np.ndarray, noise_var: float, n: int):
+    """(r, tr(K^{-1})) from q = diag(W K^{-1} W^T): r = q - u^2 and
+    tr(K^{-1}) = (n - sum q) / sigma^2."""
+    return q - u**2, (n - float(np.sum(q))) / noise_var
+
+
+def _core(W: np.ndarray, y: np.ndarray, noise_var: float, mode: str, work=None, grad: bool = True):
+    """NLML and its gradient ingredients in the chosen form, C whole (f
+    alone without grad).
+
+    Returns a dict with f, the co-matrix C = A^{-1} W = W K^{-1} (D x n),
+    alpha = K^{-1} y, u = W alpha, r (per-feature-row diagonal of
+    W (K^{-1} - alpha alpha^T) W^T) and tr(K^{-1}), both from q, the row
+    sums of C * W.  _value gives f, alpha and u, and _co_matrix C in work's
+    "co" buffer; nlml_value_and_grad takes the same pieces with C in row
+    blocks.
+    """
+    f, alpha, u, L, side = _value(W, y, noise_var, mode, work)
     if not grad:
         return {"f": f}
     C = _co_matrix(L, W, side, work)
-    q = np.einsum("in,in->i", C, W)
-    return {"f": f, "C": C, "alpha": alpha, "u": u, "r": q - u**2, "tr_Kinv": (n - float(np.sum(q))) / noise_var}
+    r, tr_Kinv = _trace_terms(np.einsum("in,in->i", C, W), u, noise_var, W.shape[1])
+    return {"f": f, "C": C, "alpha": alpha, "u": u, "r": r, "tr_Kinv": tr_Kinv}
 
 
 @dataclass(frozen=True)
@@ -356,30 +405,76 @@ def fit_posterior(phi, weight_diag, y, noise_var, *, overwrite_phi: bool = False
     return PosteriorState(beta=np.sqrt(w) * u, chol_factor=L, noise_var=float(noise_var), weight_diag=w)
 
 
-def predict(state: PosteriorState, phi_star, *, overwrite_phi: bool = False):
+def _variance_route(D: int, rows: int) -> str:
+    """The variance route of a prediction of rows points from a D x D
+    factor: "solve" below 2D rows, else "inverse".
+
+    "solve" scales each block of features by V^{1/2} and solves against L
+    by `dtrsm`, with no other D x D array; "inverse" builds
+    R = L^{-1} V^{1/2} once (a `dtrtri` of D^3/3 flops and a second
+    triangle) and takes one `dtrmm` per block, which runs at GEMM speed
+    where `dtrsm` does not.  By scripts/eval_timing.py's predict_ms
+    (TrainedModel.predict, 2 vCPUs, medians of 5), at D rows the solve took
+    0.77-0.86 of R's time at each of four shapes from D = 768 to 5120
+    (frbf 1x1280: 212 against 274 ms); at 2D the two were within 13%
+    either way (gm 5x256, D = 5120: 3.72 against 3.71 s), and at 2.5D R was
+    faster at three of the four.  Below 2D the solve also holds one D x D
+    triangle less.
+    """
+    return "solve" if rows < 2 * D else "inverse"
+
+
+def predict(state: PosteriorState, phi_star, *, overwrite_phi: bool = False, rows=None):
     """(mean, variance) per test column of phi_star.
 
-    mean = phi*^T beta; var = sigma^2 (1 + ||R phi*||^2) with
-    R = state.scaled_inverse = L^{-1} V^{1/2}, the weight-space posterior
-    variance, so var >= sigma^2 always.  R phi* is one `dtrmm` into a
-    D x n copy of phi_star, so callers bound memory by passing column blocks
-    (TrainedModel.predict does).  overwrite_phi=True lets the product
+    mean = phi*^T beta; var = sigma^2 (1 + ||L^{-1} V^{1/2} phi*||^2), the
+    weight-space posterior variance, so var >= sigma^2 always.  rows is
+    the number of points of the whole prediction phi_star is a block of
+    (its own columns by default), which sets the route by
+    _variance_route(D, rows): a triangular solve against the stored factor
+    (`dtrsm` on V^{1/2} phi*, reading L in place in either memory order),
+    or one `dtrmm` by R = state.scaled_inverse.  Either way the product
+    goes into a D x n copy of phi_star, so callers bound memory by passing
+    column blocks (TrainedModel.predict does).  overwrite_phi=True lets it
     overwrite a point-major (Fortran-order) phi_star, as compute_features
-    returns it, instead of copying it; phi_star then holds R phi*.
+    returns it, instead of copying it; phi_star then holds the product.
     """
     data = _as_data(phi_star)
     single = data.ndim == 1
     if single:
         data = data[:, None]
-    if data.shape[0] != state.beta.shape[0]:
-        raise DimensionError(
-            f"phi_star has {data.shape[0]} rows, model has {state.beta.shape[0]}"
-        )
+    D = state.beta.shape[0]
+    if data.shape[0] != D:
+        raise DimensionError(f"phi_star has {data.shape[0]} rows, model has {D}")
     mean = matvec(data.T, state.beta)  # before the product may overwrite data
     # non-finite features propagate to the result (TrainedModel.predict checks it)
-    half = dtrmm(1.0, state.scaled_inverse, data, lower=1, overwrite_b=int(overwrite_phi))
+    if _variance_route(D, data.shape[1] if rows is None else rows) == "solve":
+        half = _scaled_solve(state, data, overwrite_phi)
+    else:
+        half = dtrmm(1.0, state.scaled_inverse, data, lower=1, overwrite_b=int(overwrite_phi))
     var = state.noise_var * (1.0 + np.einsum("kj,kj->j", half, half))
     return (float(mean[0]), float(var[0])) if single else (mean, var)
+
+
+def _scaled_solve(state: PosteriorState, data: np.ndarray, overwrite: bool) -> np.ndarray:
+    """L^{-1} V^{1/2} data by one `dtrsm` on V^{1/2} data, written over a
+    point-major data when overwrite, else into a new array.  The
+    factor is read as it is stored: a Fortran-order L (fit_posterior's) as
+    lower, a C-order one (load_model's) as its transpose, upper and
+    transposed back, so nothing is copied and nothing above the diagonal is
+    read.  IllConditionedError on a zero diagonal entry."""
+    L = state.chol_factor
+    zero = np.flatnonzero(np.diagonal(L) == 0.0)
+    if zero.size:
+        raise IllConditionedError(f"Cholesky factor is singular at diagonal entry {zero[0] + 1}")
+    scale = np.sqrt(state.weight_diag)[:, None]
+    if overwrite and data.flags.f_contiguous:
+        half = np.multiply(data, scale, out=data)
+    else:
+        half = np.multiply(data, scale, order="F")
+    if L.flags.f_contiguous:
+        return dtrsm(1.0, L, half, lower=1, overwrite_b=1)
+    return dtrsm(1.0, L.T, half, lower=0, trans_a=1, overwrite_b=1)
 
 
 # ---- training objective ---------------------------------------------------
@@ -396,35 +491,47 @@ def nlml_value_and_grad(spec: KernelSpec, stacks, X, y, hyper, mode: str = "auto
     r = diag(W (K^{-1} - alpha alpha^T) W^T); everything else through the
     co-matrix M = C - u alpha^T contracted against the analytic feature
     derivatives of W (see the module docstring).  W is Phi scaled in place,
-    so an evaluation holds two D x n arrays, W and C (then M), plus the
-    Gram, which is factored in place, and the chain rule's (m', n) array.
-    work is a dict that keeps these four buffers ("design", "co", "gram",
-    "chain") from one call to the next, as train.fit's objective does; None
-    gives each call new ones.  Without grad, C, M and the chain rule are
-    skipped, and so are the "co" and "chain" buffers.
+    so an evaluation holds the D x n array W, C (then M), the Gram, which is
+    factored in place, and the chain rule's (m', n) array.  In the feature
+    form C is D x n.  In the data form it comes in row blocks of whole
+    groups (_group_blocks: the first ceil(Q/2) groups, then the rest), and
+    each block's q, M and feature gradient are taken before the next block
+    overwrites it, so C holds ceil(Q/2) rows_per_group x n (3/5 of D x n at
+    Q=5); every group's gradient goes into g in group order, so f and g are
+    the bits of one whole-C contraction.  work is a dict that keeps these
+    four buffers ("design", "co", "gram", "chain") from one call to the
+    next, as train.fit's objective does; None gives each call new ones.
+    Without grad, C, M and the chain rule are skipped, and so are the "co"
+    and "chain" buffers.
     """
     spec_h, log_noise = unpack_hyper(spec, hyper)
     noise_var = np.exp(2.0 * log_noise)
     design = _buffer(work, "design", (spec.n_rows, np.shape(X)[0] if np.ndim(X) == 2 else 0))
     phi = compute_features(spec_h, stacks, X, out=design)  # phi.data becomes W below
     W, y = _checked(phi, feature_weight_matrix(spec_h), y, noise_var, min_points=1, overwrite=True)
-    core = _core(W, y, noise_var, mode, work, grad)
+    f, alpha, u, L, side = _value(W, y, noise_var, mode, work)
     if not grad:
-        return float(core["f"]), None
+        return float(f), None
 
+    # per row block of groups: its q, then M = C - u alpha^T built in place
+    # in C's point-major layout, which feature_param_gradients reads
+    # alongside W (the rank-one update is `dger`, with no temporary), into
+    # g[1:] in group order
     g = np.zeros(spec.n_hypers)
-    g[0] = noise_var * (core["tr_Kinv"] - ddot(core["alpha"], core["alpha"]))
-
-    # M = C - u alpha^T, built in place in C's point-major layout, which
-    # feature_param_gradients reads alongside W; the rank-one update is
-    # `dger`, with no D x n temporary
-    M = dger(-1.0, core["u"], core["alpha"], a=core["C"], overwrite_a=1)
+    q = np.empty(W.shape[0])
     chain = _buffer(work, "chain", (spec.m_realized, W.shape[1]))
-    g[1:] = feature_param_gradients(spec_h, stacks, X, M, phi, scratch=chain)
-
     rpg = spec_h.rows_per_group
+    groups = _group_blocks(spec.Q, side)
+    bounds = [(block.start * rpg, block.stop * rpg) for block in groups]
+    for block, (rows, C) in zip(groups, _co_blocks(L, W, side, bounds, work)):
+        q[rows] = np.einsum("in,in->i", C, W[rows])
+        M = dger(-1.0, u[rows], alpha, a=C, overwrite_a=1)
+        feature_param_gradients(spec_h, stacks, X, M, phi, scratch=chain, groups=block, out=g[1:])
+
+    r, tr_Kinv = _trace_terms(q, u, noise_var, W.shape[1])
+    g[0] = noise_var * (tr_Kinv - ddot(alpha, alpha))
     for idx, group in spec_h.weight_param_info():
         rows = slice(None) if group is None else slice(group * rpg, (group + 1) * rpg)
-        g[1 + idx] += float(np.sum(core["r"][rows]))
-    return float(core["f"]), g
+        g[1 + idx] += float(np.sum(r[rows]))
+    return float(f), g
 

@@ -33,12 +33,13 @@ FORMAT_VERSION = 1
 _POSITIVE = ("noise_var", "x_std", "y_std")  # scales; everything stored must be finite
 # Prediction runs in row blocks of at most this many design-matrix bytes
 # (1,024 rows at D = 2560) in one mapped buffer per call, which each block's
-# features fill and the triangular product overwrites, so its memory is two
-# D x D triangles (the factor L and R = L^{-1} V^{1/2}, each resident as its
-# triangle, about 0.6 of 8 D^2 bytes at D = 2560) plus one block, whatever
-# the number of rows.  `dtrmm` runs at the same speed from 1,024 columns
-# up, so a smaller block only saves memory.  Power-of-two row counts keep
-# the results within an ulp of a single-block prediction.
+# features fill and the triangular solve or product overwrites.  Below 2D
+# rows (gp._variance_route) its memory is the factor L, resident as its
+# triangle (about 0.6 of 8 D^2 bytes at D = 2560), plus one block; from 2D
+# rows up it adds R = L^{-1} V^{1/2}, a second triangle of the same size,
+# whatever the number of rows.  `dtrmm` runs at the same speed from 1,024
+# columns up, so a smaller block only saves memory.  Power-of-two row
+# counts keep the results within an ulp of a single-block prediction.
 _PREDICT_BLOCK_BYTES = 1 << 25
 
 
@@ -59,8 +60,12 @@ class TrainedModel:
         Rows go through compute_features and gp.predict in blocks of the
         largest power of two <= _PREDICT_BLOCK_BYTES / (8 D) rows.  Every
         block's features go into one buffer (the last block into a leading
-        column view of it), which the product overwrites in place, and R is
-        computed once per call.  Stored values that are finite but extreme
+        column view of it), which the variance's triangular solve or product
+        overwrites in place.  Each block passes the call's row count, so one
+        rule (gp._variance_route) picks one route for the whole call: below
+        2D rows each block is solved against the stored factor as it is,
+        from 2D rows up R is computed once per call and each block is one
+        product by it.  Stored values that are finite but extreme
         (a loaded file can hold any) can overflow on the way; that raises
         DomainError instead of returning inf or NaN.
         """
@@ -84,7 +89,7 @@ class TrainedModel:
             for lo in range(0, n, rows):
                 hi = min(lo + rows, n)
                 phi = compute_features(self.spec, stacks, X[lo:hi], out=block[:, : hi - lo])
-                mean_s[lo:hi], var_s[lo:hi] = predict(state, phi, overwrite_phi=True)
+                mean_s[lo:hi], var_s[lo:hi] = predict(state, phi, overwrite_phi=True, rows=n)
             mean = self.standardization.undo_y(mean_s)
             var = self.standardization.undo_y_var(var_s)
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))):

@@ -13,7 +13,7 @@ import zlib
 import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
-from scipy.linalg.blas import dtrmm
+from scipy.linalg.blas import ddot, dger, dtrmm
 from scipy.linalg.lapack import dtrtri
 
 import ffgp.fastfood as ff
@@ -105,7 +105,7 @@ def test_co_matrix_rejects_singular_factor():
 
 @pytest.mark.parametrize("mode", ["feature", "data"])
 def test_likelihood_solves_take_vectors_only(mode, monkeypatch):
-    # either form factors one Gram; the co-matrix comes from _co_matrix, so
+    # either form factors one Gram; the co-matrix comes from _co_blocks, so
     # cho_solve is left the one solve for u or alpha
     rng = np.random.default_rng(9)
     spec = ft.KernelSpec.template("gm", 2, 2, 4)
@@ -232,11 +232,33 @@ def test_predict_variance_matches_solve_on_rank_deficient_factor():
     assert np.max(np.abs(var - want) / want) <= 1e-12
 
 
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_solve_route_reads_the_factor_in_place(order):
+    # a prediction below 2D rows solves against the factor as it is stored
+    # (Fortran-order from a fit, C-order from a loaded file) and reads only
+    # its lower triangle: NaN above the diagonal reaches nothing
+    phi, v, y = random_problem(8, 40, 12)
+    state = fit_posterior(phi, v, y, 0.2)
+    L = np.array(state.chol_factor, order=order)
+    L[np.triu_indices(12, 1)] = np.nan
+    stored = PosteriorState(beta=state.beta, chol_factor=L, noise_var=0.2, weight_diag=v)
+    phi_star = np.asfortranarray(np.random.default_rng(9).standard_normal((12, 5)))
+    want_mean, want_var = predict(state, phi_star, rows=24)  # 2D rows: R
+    given = phi_star.copy(order="F")
+    mean, var = predict(stored, given, overwrite_phi=True)
+    np.testing.assert_array_equal(mean, want_mean)
+    np.testing.assert_allclose(var, want_var, rtol=1e-13)
+    half = solve_triangular(state.chol_factor, np.sqrt(v)[:, None] * phi_star, lower=True)
+    np.testing.assert_allclose(given, half, rtol=1e-13)  # overwritten by L^{-1} V^{1/2} phi*
+    assert "scaled_inverse" not in vars(stored)  # no R was built
+
+
 def test_predict_rejects_singular_factor():
     state = PosteriorState(beta=np.ones(2), chol_factor=np.zeros((2, 2)), noise_var=0.1,
                            weight_diag=np.ones(2))
-    with pytest.raises(IllConditionedError):
-        predict(state, np.ones((2, 3)))
+    for rows in (None, 4):  # 3 rows solve against the factor, 2D rows take R
+        with pytest.raises(IllConditionedError):
+            predict(state, np.ones((2, 3)), rows=rows)
 
 
 def test_chol_jitter_recovers_singular_psd():
@@ -525,6 +547,43 @@ def test_warm_workspace_evaluation_allocates_under_half_a_design_array(family, Q
     assert {name: id(buffer) for name, buffer in work.items()} == warm
 
 
+@pytest.mark.parametrize("Q", [1, 2, 3, 5])
+@pytest.mark.parametrize("family", ft.FAMILIES)
+def test_data_form_builds_the_co_matrix_half_its_groups_at_a_time(family, Q, mapped_bytes):
+    # the data form builds C's rows for the first ceil(Q/2) groups, then for
+    # the rest, in one "co" buffer of the larger block, and contracts each
+    # block as it goes; f and g are the bits of one contraction of the
+    # whole C from _core
+    rng = np.random.default_rng(zlib.crc32(family.encode()) + Q)
+    d, n = 3, 30
+    spec = ft.KernelSpec.template(family, d, Q, 8)
+    spec = spec.with_params(spec.params + 0.1 * rng.standard_normal(spec.n_params))
+    stacks = ft.build_stacks(spec, seed=2)
+    X, y = rng.standard_normal((n, d)), rng.standard_normal(n)
+    h = ft.pack_hyper(spec, math.log(0.3))
+    work = {}
+    f, g = nlml_value_and_grad(spec, stacks, X, y, h, mode="data", work=work)
+    rows = -(-Q // 2) * spec.rows_per_group
+    assert work["co"].shape == (rows, n) and 8 * rows * n in mapped_bytes
+
+    spec_h, log_noise = ft.unpack_hyper(spec, h)
+    noise_var = np.exp(2.0 * log_noise)
+    phi = ft.compute_features(spec_h, stacks, X)
+    W = gp._weighted(phi, ft.feature_weight_matrix(spec_h), overwrite=True)
+    core = _core(W, y, noise_var, "data")
+    want = np.zeros(spec.n_hypers)
+    want[0] = noise_var * (core["tr_Kinv"] - ddot(core["alpha"], core["alpha"]))
+    M = dger(-1.0, core["u"], core["alpha"], a=core["C"], overwrite_a=1)  # M = C - u alpha^T
+    scratch = np.empty((spec.m_realized, n), order="F")
+    want[1:] = ft.feature_param_gradients(spec_h, stacks, X, M, phi, scratch=scratch)
+    rpg = spec.rows_per_group
+    for idx, group in spec_h.weight_param_info():
+        block = slice(None) if group is None else slice(group * rpg, (group + 1) * rpg)
+        want[1 + idx] += float(np.sum(core["r"][block]))
+    assert f == core["f"]
+    np.testing.assert_array_equal(g, want)
+
+
 def fd_gradient(f, h, step=1e-5):
     g = np.zeros_like(h)
     for i in range(h.size):
@@ -700,6 +759,7 @@ def test_value_without_gradient_is_the_same_value(family, Q, m, mode, monkeypatc
         raise AssertionError("gradient formed")
 
     monkeypatch.setattr(gp, "_co_matrix", no_gradient)
+    monkeypatch.setattr(gp, "_co_blocks", no_gradient)
     monkeypatch.setattr(gp, "feature_param_gradients", no_gradient)
     work = {}
     assert nlml_value_and_grad(spec, stacks, X, y, h, mode=mode, work=work, grad=False) == (want, None)
@@ -708,9 +768,9 @@ def test_value_without_gradient_is_the_same_value(family, Q, m, mode, monkeypatc
 
 @pytest.mark.parametrize(
     "func",
-    [ft.compute_features, ft.feature_param_gradients, _co_matrix, _core, nlml_value_and_grad,
-     predict, ff.project, ft._project_sincos, ff._block_matrix, _gram, gp._weighted,
-     fit_posterior, TrainedModel.predict],
+    [ft.compute_features, ft.feature_param_gradients, gp._co_blocks, _co_matrix, gp._value, _core,
+     nlml_value_and_grad, predict, gp._scaled_solve, ff.project, ft._project_sincos, ff._block_matrix,
+     _gram, gp._weighted, fit_posterior, TrainedModel.predict],
     ids=lambda func: func.__qualname__,
 )
 def test_evaluation_products_run_in_scipy_blas(func):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ffgp.features as ft
+import ffgp.gp as gp
 import ffgp.model as model_module
 from ffgp.data import Standardization, fit_standardization, make_cosine, make_smooth
 from ffgp.errors import DimensionError, ParseError
@@ -138,12 +139,49 @@ def test_prediction_memory_is_set_by_the_block_not_the_rows(monkeypatch, mapped_
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # R = L^{-1} V^{1/2} (8 D^2 bytes, built inside this call), one block of
+    # 2,048 rows are 4D, so the call takes R = L^{-1} V^{1/2} (8 D^2 bytes,
+    # built inside this call; gp._variance_route), one block of
     # features that the product overwrites and the (rows, m) frequencies:
     # against 32 blocks for the whole design matrix.  R and the block are
     # mappings, counted at their full size
     assert sorted(mapped_bytes) == [block, 8 * D * D]
     assert peak + sum(mapped_bytes) < 8 * D * D + 3 * block
+
+
+@pytest.mark.parametrize("source", ["fitted", "loaded"])
+def test_small_prediction_solves_with_the_factor(tmp_path, monkeypatch, mapped_bytes, source):
+    # below 2D rows each block is scaled and solved against the stored
+    # factor (Fortran-order from the fit, C-order from the loader), so the
+    # call maps its block and nothing else: no R, no second triangle
+    spec = ft.KernelSpec.frbf(2, 256, lengthscale=0.8)
+    D, rows = spec.n_rows, 64
+    X, y = make_smooth(200, d=2, seed=5)
+    weights = ft.feature_weight_matrix(spec)
+    state = fit_posterior(ft.compute_features(spec, ft.build_stacks(spec, 0), X), weights, y, 0.1)
+    model = TrainedModel(spec, 0, 0.1, 0.0, state.beta, state.chol_factor,
+                         Standardization.identity(2), 200)
+    if source == "loaded":
+        save_model(model, tmp_path / "m.bin")
+        model = load_model(tmp_path / "m.bin")
+        assert model.chol_factor.flags.c_contiguous
+    block = 8 * D * rows
+    monkeypatch.setattr(model_module, "_PREDICT_BLOCK_BYTES", block)
+    X_test = make_smooth(2 * D - 1, d=2, seed=6)[0]  # 16 blocks, the last one short
+    mapped_bytes.clear()
+    tracemalloc.start()
+    try:
+        mean, var = model.predict(X_test)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one block, mapped, and no copy of the factor (8 D^2 bytes) either way
+    assert mapped_bytes == [block]
+    assert peak + sum(mapped_bytes) < 3 * block
+    # the same blocks through R = L^{-1} V^{1/2}
+    monkeypatch.setattr(gp, "_variance_route", lambda D, rows: "inverse")
+    want_mean, want_var = model.predict(X_test)
+    np.testing.assert_array_equal(mean, want_mean)
+    np.testing.assert_allclose(var, want_var, rtol=1e-13)
 
 
 def test_save_and_load_hold_no_packed_copy_of_the_factor(tmp_path, mapped_bytes):

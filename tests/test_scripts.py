@@ -86,9 +86,19 @@ def test_make_datasets_writes_the_bundled_tables(capsys, monkeypatch, tmp_path):
 def test_eval_timing_prints_an_evaluation_and_a_co_matrix_time_per_shape(capsys, monkeypatch):
     timing = _load("eval_timing")
     monkeypatch.setattr(timing, "SHAPES", (("frbf", 1, 8), ("frbf", 1, 1280)))
-    monkeypatch.setattr(sys, "argv", ["eval_timing.py", "--repeats", "1"])
+    monkeypatch.setattr(timing, "PREDICT_BATCHES", (0.25, 2))
+    monkeypatch.setattr(sys, "argv", ["eval_timing.py", "--repeats", "1", "--predict-repeats", "1"])
     timing.main()
     report = json.loads(capsys.readouterr().out)
+    # both variance routes per batch of 0.25 D and 2 D rows, and the route
+    # the rule picks for it
+    assert list(report["predict_ms"]) == ["frbf 1x8", "frbf 1x1280"]
+    for entry in report["predict_ms"].values():
+        D = entry["D"]
+        assert list(entry["rows"]) == [str(D // 4), str(2 * D)]
+        assert [batch["rule"] for batch in entry["rows"].values()] == ["solve", "inverse"]
+        for batch in entry["rows"].values():
+            assert all(isinstance(batch[route], float) and batch[route] > 0 for route in ("solve", "inverse"))
     names = ["frbf 1x8", "frbf 1x1280"]
     layers = ("features_ms", "diagonals_ms", "operator_ms", "co_matrix_ms")
     assert list(report["eval_ms"]) == names and all(list(report[layer]) == names for layer in layers)
