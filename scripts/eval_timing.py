@@ -17,14 +17,14 @@ per row block, in `ffgp.gp._group_blocks`' blocks, as `co_matrix_ms`), in
 the form the evaluation picks, from a fresh copy of the Cholesky factor the
 evaluation uses.
 
-`predict_ms` times `TrainedModel.predict` (median of --predict-repeats)
-from the posterior at the same point, for batches of PREDICT_BATCHES times
-D rows of standard normal inputs, on each variance route
+`predict_ms` times `TrainedModel.predict` (median of --repeats) from the
+posterior at the same point, for batches of PREDICT_BATCHES times D rows
+of standard normal inputs, on each variance route
 (`ffgp.gp._variance_route`'s "solve" and "inverse", the rule replaced for
 the timed calls), with the route the rule picks as `rule`: the crossover
 in that rule comes from these numbers.
 
-Usage: PYTHONPATH=src python3 scripts/eval_timing.py [--repeats 7] [--predict-repeats 3]
+Usage: PYTHONPATH=src python3 scripts/eval_timing.py [--repeats 7]
 """
 
 import argparse
@@ -141,7 +141,6 @@ def predict_ms(spec, stacks, X, y, h, repeats):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=7)
-    parser.add_argument("--predict-repeats", type=int, default=3)
     args = parser.parse_args()
     X, y = surrogate()
 
@@ -158,7 +157,7 @@ def main():
         effective = ft._group_diagonals(spec_h, stacks, 0)[1:]
         operator[name] = median_ms(lambda: _block_matrix(stacks[0], *effective), args.repeats)
         co[name] = co_matrix_ms(spec, *weighted(spec, stacks, X, h), args.repeats)
-        prediction[name] = {"D": spec.n_rows, "rows": predict_ms(spec, stacks, X, y, h, args.predict_repeats)}
+        prediction[name] = {"D": spec.n_rows, "rows": predict_ms(spec, stacks, X, y, h, args.repeats)}
 
     print(json.dumps({
         "rows": ROWS,

@@ -341,9 +341,8 @@ def _trace_terms(q: np.ndarray, u: np.ndarray, noise_var: float, n: int):
     return q - u**2, (n - float(np.sum(q))) / noise_var
 
 
-def _core(W: np.ndarray, y: np.ndarray, noise_var: float, mode: str, work=None, grad: bool = True):
-    """NLML and its gradient ingredients in the chosen form, C whole (f
-    alone without grad).
+def _core(W: np.ndarray, y: np.ndarray, noise_var: float, mode: str, work=None):
+    """NLML and its gradient ingredients in the chosen form, C whole.
 
     Returns a dict with f, the co-matrix C = A^{-1} W = W K^{-1} (D x n),
     alpha = K^{-1} y, u = W alpha, r (per-feature-row diagonal of
@@ -353,8 +352,6 @@ def _core(W: np.ndarray, y: np.ndarray, noise_var: float, mode: str, work=None, 
     blocks.
     """
     f, alpha, u, L, side = _value(W, y, noise_var, mode, work)
-    if not grad:
-        return {"f": f}
     C = _co_matrix(L, W, side, work)
     r, tr_Kinv = _trace_terms(np.einsum("in,in->i", C, W), u, noise_var, W.shape[1])
     return {"f": f, "C": C, "alpha": alpha, "u": u, "r": r, "tr_Kinv": tr_Kinv}
@@ -414,7 +411,7 @@ def _variance_route(D: int, rows: int) -> str:
     R = L^{-1} V^{1/2} once (a `dtrtri` of D^3/3 flops and a second
     triangle) and takes one `dtrmm` per block, which runs at GEMM speed
     where `dtrsm` does not.  By scripts/eval_timing.py's predict_ms
-    (TrainedModel.predict, 2 vCPUs, medians of 5), at D rows the solve took
+    (TrainedModel.predict, 2 vCPUs, `--repeats 5`), at D rows the solve took
     0.77-0.86 of R's time at each of four shapes from D = 768 to 5120
     (frbf 1x1280: 212 against 274 ms); at 2D the two were within 13%
     either way (gm 5x256, D = 5120: 3.72 against 3.71 s), and at 2.5D R was

@@ -9,7 +9,7 @@ a time, independently of the (C, op) contraction the training gradient uses.
 Guards keep instances small; oracles exist to verify, not to run.
 
 The one exception is neg_log_marginal_likelihood: it is the fast core's
-own value (gp._core) on a given Phi, kept here so that the tests can
+own value (gp._value) on a given Phi, kept here so that the tests can
 cross-check the core's feature and data forms.
 """
 
@@ -23,7 +23,7 @@ from scipy.linalg import cholesky, hadamard, solve_triangular
 from .errors import DimensionError, DomainError, IllConditionedError
 from .fastfood import project
 from .features import KernelSpec, _group_diagonals, _scaled_inputs, param_info
-from .gp import _checked, _core
+from .gp import _checked, _value
 from .hadamard import PadGeometry, fwht_inplace
 from .spectra import hat_radii, hat_unit_quantile
 
@@ -202,13 +202,13 @@ def dense_gp_nlml_predict(gram, y, noise_var, cross_cov=None, prior_var=None):
 
 
 def neg_log_marginal_likelihood(phi, weight_diag, y, noise_var, mode: str = "auto") -> float:
-    """-log p(y) for the weight-space GP, from the fast core (gp._core).
+    """-log p(y) for the weight-space GP, from the fast core (gp._value).
 
     mode: "auto" picks the feature (dual) form when D < n, else the data
     form; both available explicitly for cross-checking.
     """
     W, y = _checked(phi, weight_diag, y, noise_var, min_points=1)
-    return float(_core(W, y, noise_var, mode, grad=False)["f"])
+    return float(_value(W, y, noise_var, mode)[0])
 
 
 def _pad_cols(X: np.ndarray, geo: PadGeometry) -> np.ndarray:

@@ -164,9 +164,12 @@ def test_posterior_prediction_matches_dense_oracle():
     _, mean_o, var_o = dense_gp_nlml_predict(gram, y, noise_var, cross, prior_var)
 
     state = fit_posterior(phi, v, y, noise_var)
-    mean, var = predict(state, phi_star)
-    np.testing.assert_allclose(mean, mean_o, rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(var, var_o, rtol=1e-9, atol=1e-12)
+    # 17 columns alone take the solve route, then a call of 2D rows takes R
+    for rows, route in ((None, "solve"), (2 * D, "inverse")):
+        mean, var = predict(state, phi_star, rows=rows)
+        assert ("scaled_inverse" in vars(state)) == (route == "inverse")
+        np.testing.assert_allclose(mean, mean_o, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(var, var_o, rtol=1e-9, atol=1e-12)
 
 
 def test_predictive_variance_is_at_least_noise():
@@ -217,8 +220,9 @@ def test_predict_overwrite_phi_gives_the_same_bits(order):
 
 def test_predict_variance_matches_solve_on_rank_deficient_factor():
     # test_core_pieces_match_dense_inverse's (200, 90, 1e-6) case: A is
-    # sigma^2 I plus a rank-90 Gram, so the explicit inverse in R must
-    # agree with a triangular solve on an ill-conditioned factor
+    # sigma^2 I plus a rank-90 Gram, so the solve route's own dtrsm (40
+    # columns alone) and the explicit inverse in R (a call of 2D rows) must
+    # agree with scipy's triangular solve on an ill-conditioned factor
     D, n, noise_var = 200, 90, 1e-6
     rng = np.random.default_rng(0)
     W = rng.standard_normal((D, n)) / np.sqrt(D)
@@ -226,10 +230,12 @@ def test_predict_variance_matches_solve_on_rank_deficient_factor():
     v = rng.uniform(0.05, 2.0, size=D)
     state = fit_posterior(W / np.sqrt(v)[:, None], v, y, noise_var)  # weighted, W again
     phi_star = np.asfortranarray(rng.standard_normal((D, 40)))
-    _, var = predict(state, phi_star)
     half = solve_triangular(state.chol_factor, np.sqrt(v)[:, None] * phi_star, lower=True)
     want = noise_var * (1.0 + np.einsum("kj,kj->j", half, half))
-    assert np.max(np.abs(var - want) / want) <= 1e-12
+    for rows, route in ((None, "solve"), (2 * D, "inverse")):
+        _, var = predict(state, phi_star, rows=rows)
+        assert ("scaled_inverse" in vars(state)) == (route == "inverse")
+        assert np.max(np.abs(var - want) / want) <= 1e-12
 
 
 @pytest.mark.parametrize("order", ["F", "C"])
@@ -353,7 +359,7 @@ def test_jitter_ladder_restarts_from_the_gram_source(form, monkeypatch):
         factor = fit_posterior(W, np.ones(D), y, 1e-12).chol_factor
     else:
         work = {}  # a fresh workspace's Gram reads 0 above the diagonal
-        _core(W, y, 1e-12, form, work=work, grad=False)
+        gp._value(W, y, 1e-12, form, work=work)
         factor = work["gram"]
     [(gram, L, jitter)] = factored
     want, want_jitter = chol(gram)

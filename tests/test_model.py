@@ -158,8 +158,8 @@ def test_small_prediction_solves_with_the_factor(tmp_path, monkeypatch, mapped_b
     X, y = make_smooth(200, d=2, seed=5)
     weights = ft.feature_weight_matrix(spec)
     state = fit_posterior(ft.compute_features(spec, ft.build_stacks(spec, 0), X), weights, y, 0.1)
-    model = TrainedModel(spec, 0, 0.1, 0.0, state.beta, state.chol_factor,
-                         Standardization.identity(2), 200)
+    fitted = model = TrainedModel(spec, 0, 0.1, 0.0, state.beta, state.chol_factor,
+                                  Standardization.identity(2), 200)
     if source == "loaded":
         save_model(model, tmp_path / "m.bin")
         model = load_model(tmp_path / "m.bin")
@@ -177,6 +177,11 @@ def test_small_prediction_solves_with_the_factor(tmp_path, monkeypatch, mapped_b
     # one block, mapped, and no copy of the factor (8 D^2 bytes) either way
     assert mapped_bytes == [block]
     assert peak + sum(mapped_bytes) < 3 * block
+    # a model and its saved-and-loaded copy predict the same bits, though
+    # one solves with L (lower) and the other with L.T (upper, transposed)
+    fitted_mean, fitted_var = fitted.predict(X_test)
+    np.testing.assert_array_equal(mean, fitted_mean)
+    np.testing.assert_array_equal(var, fitted_var)
     # the same blocks through R = L^{-1} V^{1/2}
     monkeypatch.setattr(gp, "_variance_route", lambda D, rows: "inverse")
     want_mean, want_var = model.predict(X_test)

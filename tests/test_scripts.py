@@ -87,7 +87,7 @@ def test_eval_timing_prints_an_evaluation_and_a_co_matrix_time_per_shape(capsys,
     timing = _load("eval_timing")
     monkeypatch.setattr(timing, "SHAPES", (("frbf", 1, 8), ("frbf", 1, 1280)))
     monkeypatch.setattr(timing, "PREDICT_BATCHES", (0.25, 2))
-    monkeypatch.setattr(sys, "argv", ["eval_timing.py", "--repeats", "1", "--predict-repeats", "1"])
+    monkeypatch.setattr(sys, "argv", ["eval_timing.py", "--repeats", "1"])
     timing.main()
     report = json.loads(capsys.readouterr().out)
     # both variance routes per batch of 0.25 D and 2 D rows, and the route
